@@ -2,15 +2,14 @@
 """Walk through the array and wideband-channel building blocks.
 
 Builds a uniform planar array, inspects steering vectors and subarray
-partitions, draws one clustered channel realization, and checks the
-delay/subcarrier consistency numerically.
+partitions, draws one clustered channel realization in its factored
+per-path form, and checks its power normalization and rank numerically.
 """
 
 import numpy as np
 
-from fdiab import (ArrayGeometry, ClusterConfig, WidebandChannel, assemble_delay_taps,
-                   ci_path_loss, partition_subarrays, sample_cluster_geometry,
-                   to_frequency, upa_steering)
+from fdiab import (ArrayGeometry, ClusterConfig, PathChannel, ci_path_loss,
+                   partition_subarrays, sample_cluster_geometry, upa_steering)
 
 print("=" * 70)
 print("Uniform planar arrays")
@@ -40,15 +39,19 @@ print(f"{cfg.num_paths} rays drawn; total gain power {np.sum(np.abs(paths.gains)
 
 tx = ArrayGeometry(4, 4)
 rx = ArrayGeometry(4, 4)
-taps = assemble_delay_taps(paths, tx, rx, cfg)
-channel = to_frequency(WidebandChannel(taps=taps), num_subcarriers=128)
-print(f"delay taps: {taps.shape}, subcarrier responses: {channel.freq.shape}")
+channel = PathChannel(paths, tx, rx, cfg, num_subcarriers=128)
+print(f"factored form: rx basis {channel.rx_basis.shape}, "
+      f"per-path subcarrier weights {channel.weights.shape}, tx basis {channel.tx_basis.shape}")
 
-power = np.sum(np.abs(taps) ** 2) / (tx.num_elements * rx.num_elements)
-print(f"normalized tap power for this draw: {power:.3f} (unit in expectation)")
+# identity "RF stages" give the full per-subcarrier matrices H[k]
+freq = channel.effective(np.eye(rx.num_elements), np.eye(tx.num_elements))
+print(f"subcarrier responses: {freq.shape}")
 
-parseval = np.sum(np.abs(channel.freq) ** 2) / (128 * np.sum(np.abs(taps) ** 2))
-print(f"Parseval ratio freq/delay: {parseval:.12f}")
+power = np.mean(np.sum(np.abs(freq) ** 2, axis=(1, 2))) / (tx.num_elements * rx.num_elements)
+print(f"normalized power per subcarrier for this draw: {power:.3f} (unit in expectation)")
+
+sv = channel.subcarrier_singular_values(4)
+print(f"top-4 singular values on subcarrier 0: {np.round(sv[0], 2)}")
 
 print()
 print("=" * 70)

@@ -9,9 +9,9 @@ models reflections off nearby objects; a Rician factor mixes the two.
 
 import numpy as np
 
-from fdiab import (ArrayGeometry, ClusterConfig, SiChannelConfig, apply_residual_sic,
-                   gen_si_channel, near_field_los, near_field_radius,
-                   perturb_effective_channel)
+from fdiab import (ArrayGeometry, ClusterConfig, SiChannelConfig, draw_cee_noise,
+                   near_field_los, near_field_radius, perturb_effective_channel,
+                   si_channel_parts)
 
 lam = 3e8 / 28e9
 tx = ArrayGeometry(16, 16, spacing=0.5)
@@ -32,18 +32,22 @@ print("-> sparse and low rank, dominated by the direct coupling\n")
 cfg = SiChannelConfig(rician_factor_db=45.0, nlos_clusters=2, nlos_rays=4)
 cluster = ClusterConfig(num_clusters=2, rays_per_cluster=4,
                         sampling_time=1.0 / (128 * 120e3), num_taps=32)
-channel = gen_si_channel(tx, rx, cfg, cluster, rng_seed=1, wavelength=lam)
-print(f"wideband SI channel: {channel.taps.shape[0]} taps; "
-      f"tap-0 power fraction {np.sum(np.abs(channel.taps[0])**2) / np.sum(np.abs(channel.taps)**2):.3f}")
+channel = si_channel_parts(tx, rx, cfg, cluster, rng_seed=1, wavelength=lam,
+                           num_subcarriers=128)
+print(f"wideband SI channel over {channel.num_subcarriers} subcarriers; "
+      f"LoS power fraction {channel.los_weight**2:.5f} (Rician factor 45 dB)")
 
-attenuated = apply_residual_sic(channel.taps, 80.0)
-print(f"after 80 dB of antenna/analog cancellation: "
-      f"power ratio {np.sum(np.abs(channel.taps)**2) / np.sum(np.abs(attenuated)**2):.3e}\n")
+# the effective channel through 16 random phase-only columns on each side
+rng = np.random.default_rng(0)
+w = np.exp(2j * np.pi * rng.random((rx.num_elements, 16)))
+f = np.exp(2j * np.pi * rng.random((tx.num_elements, 16)))
+before = np.sum(np.abs(channel.effective(w, f)) ** 2)
+after = np.sum(np.abs(channel.attenuated(80.0).effective(w, f)) ** 2)
+print(f"after 80 dB of antenna/analog cancellation: power ratio {before / after:.3e}\n")
 
 # estimation error on an effective channel (what the digital stage sees)
-rng = np.random.default_rng(0)
 h_eff = rng.standard_normal((8, 8, 4)) + 1j * rng.standard_normal((8, 8, 4))
 for sigma_e in (0.0, 0.05, 0.2):
-    h_hat = perturb_effective_channel(h_eff, sigma_e, rng)
+    h_hat = perturb_effective_channel(h_eff, sigma_e, draw_cee_noise(rng, h_eff.shape))
     err = np.linalg.norm(h_eff - h_hat) ** 2 / np.linalg.norm(h_eff) ** 2
     print(f"sigma_e = {sigma_e:4.2f}: realized error-to-channel power ratio {err:.4f}")

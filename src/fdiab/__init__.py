@@ -9,27 +9,20 @@ insertion-loss budgets, and a seeded Monte Carlo sweep harness.
 from .arrays import (ArrayGeometry, SubarrayPartition, aperture_diameter,
                      element_positions, near_field_radius, partition_subarrays,
                      steering_matrix, upa_steering)
-from .channel import (CeeModel, ClusterConfig, ClusterGeometry, PathChannel,
-                      SiChannelConfig, SiChannelParts, WidebandChannel,
-                      apply_residual_sic, assemble_delay_taps, ci_path_loss,
-                      gen_si_channel, load_channel, near_field_los,
-                      perturb_effective_channel, raised_cosine,
-                      sample_cluster_geometry, save_channel, si_channel_parts,
-                      to_frequency)
+from .channel import (ClusterConfig, ClusterGeometry, PathChannel, SiChannelConfig,
+                      SiChannelParts, ci_path_loss, draw_cee_noise, near_field_los,
+                      perturb_effective_channel, raised_cosine, sample_cluster_geometry,
+                      si_channel_parts)
 from .config import ExperimentConfig, dump_config, load_config, save_config
 from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
                      DomainError, FdiabError, NearSingularError)
 from .harness import (SweepResult, aggregate_figure, derive_seed, read_csv,
                       run_experiment, write_csv, write_figure_csv)
-from .link import (SeResult, SicAbility, SnrPoint, digital_sic_ability, se_access,
-                   se_backhaul)
-from .rfil import (RfComponentLosses, RfilBudget, apply_rfil, loss_fully_connected,
-                   loss_subarray)
+from .link import SeResult, SnrPoint, se_access, se_backhaul
+from .rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
 from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Realization, Scenario,
                        build_scenario, draw_realization, full_digital_backhaul_se)
-from .transceiver import (HybridTransceiver, bb_svd, effective_channel,
-                          mmse_bb_combiner, normalize_power, phase_project,
-                          rf_from_covariance, rf_stage_fully_connected,
-                          rf_stage_subarray, top_eigvecs_factored, zf_bb_precoder)
+from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
+                          top_eigvecs_factored, zf_bb_precoder)
 
 __version__ = "0.1.0"

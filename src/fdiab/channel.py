@@ -15,23 +15,22 @@ panels combines a deterministic near-field line-of-sight matrix (spherical
 wavefront, per-element-pair 1/r amplitude) with a sparse clustered
 non-line-of-sight part, mixed through a Rician factor.
 
-``PathChannel`` keeps the factored per-path form so that covariances and
-RF-effective channels of 256-element arrays never require materializing the
-full (K, N_rx, N_tx) tensor.
+Both channels are kept in the factored per-path form (``PathChannel``,
+``SiChannelParts``), so covariances and RF-effective channels of 256-element
+arrays never require materializing the full (K, N_rx, N_tx) tensor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrays import ArrayGeometry, element_positions, near_field_radius, steering_matrix
-from .errors import ConfigurationError, DegenerateInputError, DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 SPEED_OF_LIGHT = 3.0e8
 
@@ -87,17 +86,6 @@ class SiChannelConfig:
             raise ConfigurationError("SI NLoS needs at least one cluster and ray")
 
 
-@dataclass(frozen=True)
-class CeeModel:
-    """Relative standard deviation of the effective-channel estimation error."""
-
-    sigma_e: float
-
-    def __post_init__(self):
-        if self.sigma_e < 0.0:
-            raise ConfigurationError("sigma_e must be non-negative")
-
-
 @dataclass
 class ClusterGeometry:
     """Sampled per-ray parameters, flattened over clusters."""
@@ -119,15 +107,6 @@ class ClusterGeometry:
     @property
     def num_paths(self) -> int:
         return len(self.gains)
-
-
-@dataclass
-class WidebandChannel:
-    """Delay-tap tensor (D, N_rx, N_tx) and optional subcarrier form (K, N_rx, N_tx)."""
-
-    taps: np.ndarray | None = None
-    freq: np.ndarray | None = None
-    path_loss_db: float = 0.0
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -210,29 +189,6 @@ def _tap_amplitude(nt: int, nr: int, cfg: ClusterConfig) -> float:
     return math.sqrt(nt * nr / expected_pulse_energy(cfg.num_taps, cfg.pulse_rolloff))
 
 
-def assemble_delay_taps(paths: ClusterGeometry, tx_geom: ArrayGeometry,
-                        rx_geom: ArrayGeometry, cfg: ClusterConfig) -> np.ndarray:
-    """Dense delay-domain tensor (D, N_rx, N_tx) from a sampled ray set."""
-    ar = steering_matrix(rx_geom, paths.aoa_azimuth, paths.aoa_elevation)
-    at = steering_matrix(tx_geom, paths.aod_azimuth, paths.aod_elevation)
-    amp = _tap_amplitude(tx_geom.num_elements, rx_geom.num_elements, cfg)
-    w = paths.gains[:, None] * _pulse_taps(paths.delays, cfg) * amp  # (P, D)
-    return np.einsum("np,pd,mp->dnm", ar, w, at.conj(), optimize=True)
-
-
-def to_frequency(channel: WidebandChannel, num_subcarriers: int) -> WidebandChannel:
-    """Populate the per-subcarrier response: freq[k] = sum_d taps[d] e^{-j2pi k d / K}."""
-    if channel.taps is None:
-        raise DegenerateInputError("channel has no delay taps to transform")
-    d = channel.taps.shape[0]
-    if d > num_subcarriers:
-        raise ConfigurationError(
-            f"taps-within-cp: {d} delay taps exceed {num_subcarriers} subcarriers"
-        )
-    channel.freq = np.fft.fft(channel.taps, n=num_subcarriers, axis=0)
-    return channel
-
-
 def ci_path_loss(distance_m: float, carrier_hz: float, exponent: float = 2.0) -> float:
     """Close-in path loss in dB, anchored at the 1 m free-space value."""
     if distance_m < 1.0:
@@ -252,27 +208,17 @@ class PathChannel:
     """
 
     def __init__(self, paths: ClusterGeometry, tx_geom: ArrayGeometry,
-                 rx_geom: ArrayGeometry, cfg: ClusterConfig, num_subcarriers: int,
-                 path_loss_db: float = 0.0):
+                 rx_geom: ArrayGeometry, cfg: ClusterConfig, num_subcarriers: int):
         if cfg.num_taps > num_subcarriers:
             raise ConfigurationError(
                 f"taps-within-cp: {cfg.num_taps} delay taps exceed {num_subcarriers} subcarriers"
             )
-        self.paths = paths
-        self.tx_geom = tx_geom
-        self.rx_geom = rx_geom
-        self.cfg = cfg
         self.num_subcarriers = num_subcarriers
-        self.path_loss_db = path_loss_db
         self.rx_basis = steering_matrix(rx_geom, paths.aoa_azimuth, paths.aoa_elevation)
         self.tx_basis = steering_matrix(tx_geom, paths.aod_azimuth, paths.aod_elevation)
         amp = _tap_amplitude(tx_geom.num_elements, rx_geom.num_elements, cfg)
         pulse = _pulse_taps(paths.delays, cfg) * amp
         self.weights = paths.gains[:, None] * np.fft.fft(pulse, n=num_subcarriers, axis=1)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.num_subcarriers, self.rx_geom.num_elements, self.tx_geom.num_elements)
 
     def effective(self, rx_matrix: np.ndarray, tx_matrix: np.ndarray) -> np.ndarray:
         """Per-subcarrier W^H H[k] F, shape (K, W.cols, F.cols)."""
@@ -283,22 +229,13 @@ class PathChannel:
     def _weight_gram(self) -> np.ndarray:
         return (self.weights @ self.weights.conj().T) / self.num_subcarriers
 
-    def tx_covariance(self, cols: np.ndarray | None = None) -> np.ndarray:
-        """(1/K) sum_k H[k]^H H[k], optionally restricted to transmit elements ``cols``."""
-        at = self.tx_basis if cols is None else self.tx_basis[cols]
-        s = self.rx_basis.conj().T @ self.rx_basis
-        core = s * self._weight_gram().conj()
-        return at @ core @ at.conj().T
-
-    def rx_covariance(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """(1/K) sum_k H[k] H[k]^H, optionally restricted to receive elements ``rows``."""
-        ar = self.rx_basis if rows is None else self.rx_basis[rows]
-        t = self.tx_basis.conj().T @ self.tx_basis
-        core = t * self._weight_gram()
-        return ar @ core @ ar.conj().T
-
     def covariance_factors(self, side: str, idx: np.ndarray | None = None):
-        """(basis, core) with covariance = basis @ core @ basis^H; core is Hermitian PSD."""
+        """(basis, core) with covariance = basis @ core @ basis^H; core is Hermitian PSD.
+
+        The covariance is the sample covariance over subcarriers,
+        (1/K) sum_k H[k]^H H[k] on the "tx" side and (1/K) sum_k H[k] H[k]^H
+        on the "rx" side, restricted to the elements ``idx`` of that side.
+        """
         if side == "tx":
             basis = self.tx_basis if idx is None else self.tx_basis[idx]
             s = self.rx_basis.conj().T @ self.rx_basis
@@ -309,46 +246,19 @@ class PathChannel:
             return basis, t * self._weight_gram()
         raise ConfigurationError("side must be 'tx' or 'rx'")
 
-    def _svd_core(self) -> np.ndarray:
-        qr_, rr = np.linalg.qr(self.rx_basis)
-        qt, rt = np.linalg.qr(self.tx_basis)
-        core = np.einsum("ip,pk,jp->kij", rr, self.weights, rt.conj(), optimize=True)
-        self._svd_bases = (qr_, qt)
-        return core
-
-    def subcarrier_svd(self, num_streams: int):
-        """Top singular triplets of every H[k] via the path-space core.
-
-        Returns (left (K, N_rx, n), sigma (K, n), right (K, N_tx, n)).
-        """
-        core = self._svd_core()
-        qr_, qt = self._svd_bases
-        u, s, vh = np.linalg.svd(core)
-        n = num_streams
-        if n > s.shape[1]:
-            raise ConfigurationError("more streams requested than channel rank supports")
-        left = np.einsum("ri,kin->krn", qr_, u[:, :, :n], optimize=True)
-        right = np.einsum("tj,knj->ktn", qt, vh[:, :n, :].conj(), optimize=True)
-        return left, s[:, :n], right
-
     def subcarrier_singular_values(self, num_streams: int) -> np.ndarray:
-        """Top ``num_streams`` singular values of every H[k], shape (K, n)."""
-        s = np.linalg.svd(self._svd_core(), compute_uv=False)
+        """Top ``num_streams`` singular values of every H[k], shape (K, n).
+
+        H[k] = Q_rx R_rx diag(m[:, k]) R_tx^H Q_tx^H, so the singular values
+        are those of the P x P path-space core R_rx diag(m[:, k]) R_tx^H.
+        """
+        _, rr = np.linalg.qr(self.rx_basis)
+        _, rt = np.linalg.qr(self.tx_basis)
+        core = np.einsum("ip,pk,jp->kij", rr, self.weights, rt.conj(), optimize=True)
+        s = np.linalg.svd(core, compute_uv=False)
         if num_streams > s.shape[1]:
             raise ConfigurationError("more streams requested than channel rank supports")
         return s[:, :num_streams]
-
-    def frequency_response(self) -> np.ndarray:
-        """Dense (K, N_rx, N_tx) tensor; intended for small arrays and tests."""
-        return np.einsum("np,pk,mp->knm", self.rx_basis, self.weights,
-                         self.tx_basis.conj(), optimize=True)
-
-    def delay_taps(self) -> np.ndarray:
-        return assemble_delay_taps(self.paths, self.tx_geom, self.rx_geom, self.cfg)
-
-    def as_wideband(self) -> WidebandChannel:
-        ch = WidebandChannel(taps=self.delay_taps(), path_loss_db=self.path_loss_db)
-        return to_frequency(ch, self.num_subcarriers)
 
 
 def near_field_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
@@ -399,7 +309,10 @@ class SiChannelParts:
         return self.nlos.num_subcarriers if self.nlos is not None else 1
 
     def attenuated(self, sic_db: float) -> "SiChannelParts":
-        scale = 10.0 ** (-_check_sic(sic_db) / 20.0)
+        """Copy attenuated by sic_db of power: amplitude scale 10^(-sic_db/20)."""
+        if sic_db < 0.0:
+            raise DomainError("cancellation budget must be >= 0 dB")
+        scale = 10.0 ** (-sic_db / 20.0)
         return replace(self, amplitude=self.amplitude * scale)
 
 
@@ -417,7 +330,7 @@ def _si_nlos_config(cfg: SiChannelConfig, cluster_cfg: ClusterConfig) -> Cluster
 def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChannelConfig,
                      cluster_cfg: ClusterConfig, rng_seed, wavelength: float,
                      num_subcarriers: int) -> SiChannelParts:
-    """Factored form of the SI channel; same draw as :func:`gen_si_channel`."""
+    """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS."""
     rng = as_rng(rng_seed)
     los = near_field_los(tx_geom, rx_geom, wavelength)
     w_los, w_nlos = _rician_weights(cfg.rician_factor_db)
@@ -429,80 +342,19 @@ def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChan
     return SiChannelParts(los, nlos, w_los, w_nlos)
 
 
-def gen_si_channel(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChannelConfig,
-                   cluster_cfg: ClusterConfig, rng_seed, wavelength: float) -> WidebandChannel:
-    """Dense SI channel: sqrt(k/(1+k)) LoS at tap 0 plus sqrt(1/(1+k)) clustered NLoS taps."""
+def draw_cee_noise(rng_seed, shape) -> np.ndarray:
+    """Unit-variance circular Gaussian draw for :func:`perturb_effective_channel`."""
     rng = as_rng(rng_seed)
-    los = near_field_los(tx_geom, rx_geom, wavelength)
-    w_los, w_nlos = _rician_weights(cfg.rician_factor_db)
-    taps = np.zeros((cluster_cfg.num_taps, rx_geom.num_elements, tx_geom.num_elements),
-                    dtype=complex)
-    if w_nlos > 0.0:
-        paths = sample_cluster_geometry(_si_nlos_config(cfg, cluster_cfg), rng)
-        taps += w_nlos * assemble_delay_taps(paths, tx_geom, rx_geom,
-                                             _si_nlos_config(cfg, cluster_cfg))
-    taps[0] += w_los * los
-    return WidebandChannel(taps=taps)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _check_sic(sic_db: float) -> float:
-    if sic_db < 0.0:
-        raise DomainError("cancellation budget must be >= 0 dB")
-    return sic_db
+def perturb_effective_channel(g: np.ndarray, sigma_e: float, noise: np.ndarray) -> np.ndarray:
+    """Estimated effective channel (K, M, N): truth minus a scaled error draw.
 
-
-def apply_residual_sic(si_matrices: np.ndarray, sic_db: float) -> np.ndarray:
-    """Attenuate by sic_db of power: amplitude scale 10^(-sic_db/20)."""
-    return np.asarray(si_matrices) * 10.0 ** (-_check_sic(sic_db) / 20.0)
-
-
-def perturb_effective_channel(h_eff: np.ndarray, sigma_e: float, rng_seed) -> np.ndarray:
-    """Estimated effective channel: truth minus a circular Gaussian error.
-
-    The per-entry error variance on subcarrier k is sigma_e^2 times the mean
-    squared entry magnitude of h_eff[k], so sigma_e is scale free. The true
-    channel is the returned estimate plus the error.
+    The error on subcarrier k is sigma_e times the RMS entry magnitude of
+    g[k] times ``noise[k]``, a unit-variance draw (:func:`draw_cee_noise`),
+    so sigma_e is scale free. The true channel is the returned estimate plus
+    the error.
     """
-    if sigma_e < 0.0:
-        raise DomainError("sigma_e must be non-negative")
-    h = np.asarray(h_eff)
-    if sigma_e == 0.0:
-        return h.copy()
-    rng = as_rng(rng_seed)
-    ms = np.mean(np.abs(h) ** 2, axis=tuple(range(1, h.ndim)), keepdims=True)
-    scale = sigma_e * np.sqrt(ms / 2.0)
-    delta = scale * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-    return h - delta
-
-
-_HEADER = struct.Struct("<4I")
-
-
-def save_channel(channel: WidebandChannel, path) -> None:
-    """Binary dump: little-endian (N_rx, N_tx, D, K) header, complex64 payload, row-major."""
-    taps = channel.taps
-    freq = channel.freq
-    if taps is None and freq is None:
-        raise DegenerateInputError("channel holds neither taps nor subcarrier responses")
-    ref = taps if taps is not None else freq
-    nr, nt = ref.shape[1], ref.shape[2]
-    d = 0 if taps is None else taps.shape[0]
-    k = 0 if freq is None else freq.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(nr, nt, d, k))
-        if taps is not None:
-            fh.write(np.ascontiguousarray(taps, dtype=np.complex64).tobytes())
-        if freq is not None:
-            fh.write(np.ascontiguousarray(freq, dtype=np.complex64).tobytes())
-
-
-def load_channel(path) -> WidebandChannel:
-    with open(path, "rb") as fh:
-        nr, nt, d, k = _HEADER.unpack(fh.read(_HEADER.size))
-        payload = np.frombuffer(fh.read(), dtype=np.complex64)
-    expected = (d + k) * nr * nt
-    if payload.size != expected:
-        raise DimensionError(f"channel file payload has {payload.size} entries, expected {expected}")
-    taps = payload[: d * nr * nt].reshape(d, nr, nt).astype(complex) if d else None
-    freq = payload[d * nr * nt:].reshape(k, nr, nt).astype(complex) if k else None
-    return WidebandChannel(taps=taps, freq=freq)
+    rms = np.sqrt(np.mean(np.abs(g) ** 2, axis=(1, 2)))
+    return g - sigma_e * rms[:, None, None] * noise

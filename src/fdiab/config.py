@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, fields, replace
 
 from .channel import SPEED_OF_LIGHT
 from .errors import ConfigurationError
+from .link import DUPLEX_MODES
 from .rfil import PS_KINDS
 
 STRUCTURES = ("fully-connected", "subarray")
 LINKS = ("backhaul", "access")
-DUPLEXES = ("fd", "hd", "fd_perfect_sic")
 EXPERIMENTS = ("fig4", "fig5", "fig6")
 
 SCHEMA_VERSION = 1
@@ -74,7 +74,7 @@ class ExperimentConfig:
     structures: tuple[str, ...] = STRUCTURES
     ps_kinds: tuple[str, ...] = ("ideal", "active", "passive")
     links: tuple[str, ...] = LINKS
-    duplexes: tuple[str, ...] = DUPLEXES
+    duplexes: tuple[str, ...] = DUPLEX_MODES
     snr_db_grid: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     sigma_e_grid: tuple[float, ...] = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
     cee_snrs_db: tuple[float, ...] = (10.0, 20.0)
@@ -179,7 +179,7 @@ class ExperimentConfig:
             (self.ps_kinds, PS_KINDS, "ps-kind-valid"),
             (self.cee_ps_kinds, PS_KINDS, "ps-kind-valid"),
             (self.links, LINKS, "link-valid"),
-            (self.duplexes, DUPLEXES, "duplex-valid"),
+            (self.duplexes, DUPLEX_MODES, "duplex-valid"),
             (self.experiments, EXPERIMENTS, "experiment-valid"),
         ):
             require(len(value) > 0, rule, "empty selection")

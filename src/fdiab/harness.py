@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import draw_cee_noise
 from .config import ExperimentConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError, NearSingularError
 from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Realization, Scenario,
                        build_scenario, draw_realization, full_digital_backhaul_se)
 
@@ -68,10 +69,6 @@ def _row(experiment, scheme, link, duplex, snr_db, sigma_e, chains, ps_kind, tri
             "snr_db": float(snr_db), "sigma_e": float(sigma_e), "L": int(chains),
             "ps_kind": ps_kind, "trial": int(trial), "se_bps_hz": float(se),
             "rfil_db": float(rfil_db)}
-
-
-def _draw_cee_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def _trial_fig4(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
@@ -117,8 +114,8 @@ def _trial_fig5(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     for structure in cfg.structures:
         access = AccessLinkDesign(scn, real, structure)
         backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
-        cee_noise = _draw_cee_noise(seeder(f"cee/{structure}"),
-                                    (cfg.subcarriers, m, cfg.users))
+        cee_noise = draw_cee_noise(seeder(f"cee/{structure}"),
+                                   (cfg.subcarriers, m, cfg.users))
         for ps_kind in cfg.cee_ps_kinds:
             bh_tx, bh_rx = backhaul.budgets(ps_kind)
             rfil_db = bh_tx.total_db + bh_rx.total_db
@@ -175,13 +172,15 @@ def run_trial(cfg: ExperimentConfig, scenario: Scenario, experiment: str,
               trial: int) -> tuple[list[dict], tuple[str, str] | None]:
     """Rows of one trial and its failure as (exception type name, message).
 
-    The worker entry point of the sweep: a failing trial returns no rows and
-    a failure record instead of raising, so the record crosses a process
-    boundary as plain data.
+    The worker entry point of the sweep. A trial that meets one of the
+    numerical failures a sweep tolerates (a near-singular or degenerate
+    channel) returns no rows and a failure record instead of raising, so the
+    record crosses a process boundary as plain data. Any other exception
+    propagates and stops the run.
     """
     try:
         return _TRIALS[experiment](cfg, scenario, trial), None
-    except Exception as exc:  # noqa: BLE001 - sweep keeps going, counted by caller
+    except (NearSingularError, DegenerateInputError) as exc:
         return [], (type(exc).__name__, str(exc))
 
 
@@ -205,8 +204,10 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 
     With ``cfg.threads > 1`` the trials run in that many spawned worker
     processes, each with single-threaded BLAS; otherwise they run in this
-    process. A failing trial is logged and skipped; more than 10 percent
-    failures abort the run, as does a worker process that dies.
+    process. A trial that fails with ``NearSingularError`` or
+    ``DegenerateInputError`` is logged and skipped; more than 10 percent such
+    failures abort the run, as do any other exception and a worker process
+    that dies.
     """
     cfg.validate()
     tasks = [(experiment, trial) for experiment in cfg.experiments

@@ -16,7 +16,7 @@ schemes comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,29 +151,3 @@ def se_access(effective_rows: np.ndarray, snr: SnrPoint,
     per_user = per_user_k.mean(axis=0)
     return SeResult("access", duplex, float(per_user.sum()),
                     per_subcarrier=per_user_k.sum(axis=1), per_user=per_user)
-
-
-@dataclass
-class SicAbility:
-    """Digital-cancellation figures at one receive-chain count."""
-
-    chains_per_subarray: int
-    se_with_dsic: float
-    se_without_dsic: float
-    se_ideal: float
-    improvement_pct: float = field(init=False)
-    rate_loss: float = field(init=False)
-
-    def __post_init__(self):
-        if self.se_without_dsic <= 0.0:
-            raise DomainError("reference spectral efficiency must be positive")
-        self.improvement_pct = 100.0 * (self.se_with_dsic - self.se_without_dsic) \
-            / self.se_without_dsic
-        self.rate_loss = self.se_ideal - self.se_with_dsic
-
-
-def digital_sic_ability(chains_per_subarray: int, se_with_dsic: float,
-                        se_without_dsic: float, se_ideal: float) -> SicAbility:
-    """Improvement of deploying the interference-aware combiner and the rate
-    loss that remains against a perfect-cancellation receiver."""
-    return SicAbility(chains_per_subarray, se_with_dsic, se_without_dsic, se_ideal)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError
 
 PD_PER_STAGE_DB = 0.6
@@ -123,8 +121,3 @@ def loss_subarray(side: str, n_ant: int, n_rf: int, num_subarrays: int,
                 f"subarray-divisibility: {num_subarrays} subarrays do not divide {n_rf} RF chains")
         return _budget(losses, n_rf // num_subarrays, block)
     raise ConfigurationError("side must be 'tx', 'user_rx', or 'iab_rx'")
-
-
-def apply_rfil(rf_matrix: np.ndarray, budget: RfilBudget) -> np.ndarray:
-    """Scale an RF matrix by the 1/sqrt(L_RF) amplitude factor."""
-    return np.asarray(rf_matrix) * budget.linear_scale

@@ -17,15 +17,16 @@ balances against the fixed noise reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .arrays import ArrayGeometry, SubarrayPartition, partition_subarrays
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
-                      ci_path_loss, sample_cluster_geometry, si_channel_parts)
+                      ci_path_loss, perturb_effective_channel, sample_cluster_geometry,
+                      si_channel_parts)
 from .errors import ConfigurationError
-from .link import SeResult, SnrPoint, se_access, se_backhaul
+from .link import DUPLEX_MODES, SeResult, SnrPoint, se_access, se_backhaul
 from .rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
 from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
                           top_eigvecs_factored, zf_bb_precoder)
@@ -126,17 +127,23 @@ def draw_realization(scn: Scenario, seeder: Seeder) -> Realization:
     return Realization(backhaul, access, si.attenuated(scn.si_cfg.pre_digital_sic_db))
 
 
-def _rf_factored(channel: PathChannel, side: str, n_rf: int,
+def _rf_factored(channel: PathChannel | Sequence[PathChannel], side: str, n_rf: int,
                  partition: SubarrayPartition | None = None) -> np.ndarray:
-    """Phase-projected dominant-eigenvector RF stage via the path-space core."""
+    """Phase-projected dominant-eigenvector RF stage via the path-space core.
+
+    With a partition the stage is block diagonal: block b holds the ``n_rf``
+    columns designed for the elements of subarray b alone, from ``channel[b]``
+    when one channel per block is given and from ``channel`` otherwise.
+    """
     if partition is None:
         basis, core = channel.covariance_factors(side)
         return phase_project(top_eigvecs_factored(basis, core, n_rf))
-    n = partition.num_elements
-    out = np.zeros((n, partition.num_subarrays * n_rf), dtype=complex)
-    for b, block in enumerate(partition.element_index_sets):
+    blocks = partition.element_index_sets
+    channels = [channel] * len(blocks) if isinstance(channel, PathChannel) else channel
+    out = np.zeros((partition.num_elements, partition.num_subarrays * n_rf), dtype=complex)
+    for b, (block, ch) in enumerate(zip(blocks, channels, strict=True)):
         idx = np.asarray(block)
-        basis, core = channel.covariance_factors(side, idx)
+        basis, core = ch.covariance_factors(side, idx)
         out[idx, b * n_rf:(b + 1) * n_rf] = phase_project(top_eigvecs_factored(basis, core, n_rf))
     return out
 
@@ -152,25 +159,16 @@ class AccessLinkDesign:
             raise ConfigurationError(
                 "access design assumes one transmit chain per user "
                 f"({scn.tx_chains} chains, {u} users)")
-        n_iab = scn.iab_tx_geom.num_elements
-        f_rf = np.zeros((n_iab, u), dtype=complex)
-        combiners = []
-        rows = []
-        for i, ch in enumerate(real.access):
-            if structure == "fully-connected":
-                basis, core = ch.covariance_factors("tx")
-                f_rf[:, i:i + 1] = phase_project(top_eigvecs_factored(basis, core, 1))
-            else:
-                idx = np.asarray(scn.iab_partition.element_index_sets[i])
-                basis, core = ch.covariance_factors("tx", idx)
-                f_rf[idx, i:i + 1] = phase_project(top_eigvecs_factored(basis, core, 1))
-            rbasis, rcore = ch.covariance_factors("rx")
-            combiners.append(phase_project(top_eigvecs_factored(rbasis, rcore, 1)))
+        # one transmit column per user, designed from that user's channel
+        if structure == "fully-connected":
+            f_rf = np.concatenate([_rf_factored(ch, "tx", 1) for ch in real.access], axis=1)
+        else:
+            f_rf = _rf_factored(real.access, "tx", 1, scn.iab_partition)
+        combiners = [_rf_factored(ch, "rx", 1) for ch in real.access]
         self.f_rf = f_rf
         self.combiners = combiners
-        for i, ch in enumerate(real.access):
-            rows.append(ch.effective(combiners[i], f_rf))       # (K, 1, U)
-        eff = np.concatenate(rows, axis=1)                       # (K, U, U)
+        eff = np.concatenate([ch.effective(w, f_rf) for ch, w in zip(real.access, combiners)],
+                             axis=1)                             # (K, U, U)
         self.f_bb = normalize_power(f_rf, zf_bb_precoder(eff), u, equal_streams=True)
         self.rows0 = eff @ self.f_bb
         self.noise_scales = np.array([float(np.sum(np.abs(w) ** 2)) for w in combiners])
@@ -214,9 +212,7 @@ class BackhaulLinkDesign:
             self.w_rf = _rf_factored(ch, "rx", m)
         else:
             self.f_rf = _rf_factored(ch, "tx", 1, scn.donor_partition)
-            self.w_rf = _rf_factored(ch, "rx", chains_per_subarray,
-                                     partition_subarrays(scn.iab_rx_geom.num_elements,
-                                                         scn.users))
+            self.w_rf = _rf_factored(ch, "rx", chains_per_subarray, scn.iab_partition)
         eff = ch.effective(self.w_rf, self.f_rf)                 # (K, M, Ns)
         precoder, _ = bb_svd(eff, ns)
         self.f_bb = normalize_power(self.f_rf, precoder, ns)
@@ -241,7 +237,7 @@ class BackhaulLinkDesign:
 
     def evaluate(self, ps_kind: str, snr: SnrPoint, sigma_e: float = 0.0,
                  cee_noise: np.ndarray | None = None,
-                 duplexes: tuple[str, ...] = ("fd", "hd", "fd_perfect_sic"),
+                 duplexes: tuple[str, ...] = DUPLEX_MODES,
                  include_no_dsic: bool = False) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
@@ -271,8 +267,7 @@ class BackhaulLinkDesign:
                 if sigma_e > 0.0:
                     if cee_noise is None:
                         raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
-                    rms = np.sqrt(np.mean(np.abs(g_si) ** 2, axis=(1, 2)))
-                    g_hat = g_si - sigma_e * rms[:, None, None] * cee_noise
+                    g_hat = perturb_effective_channel(g_si, sigma_e, cee_noise)
                 else:
                     g_hat = g_si
                 rsi_est = g_hat @ self.access.f_bb

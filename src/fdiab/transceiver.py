@@ -2,8 +2,9 @@
 
 RF (phase-shifter) stages are frequency flat: each column is the entry-wise
 phase projection e^{j arg(.)} of a dominant eigenvector of the sample channel
-covariance, so every entry has unit magnitude. Subarray stages apply the same
-rule per antenna block, which makes the RF matrix exactly block diagonal.
+covariance, so every entry has unit magnitude. The eigenvectors come from the
+factored covariance of a ``PathChannel``; the stages themselves, including
+the block-diagonal subarray form, are assembled in ``fdiab.scenario``.
 
 Baseband stages are per subcarrier: dominant singular vectors of the
 RF-effective channel for point-to-point links, zero forcing across users at
@@ -16,56 +17,29 @@ entry is real and positive before any phase extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arrays import SubarrayPartition
 from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
                      DomainError, NearSingularError)
 
 
-@dataclass
-class HybridTransceiver:
-    """RF matrix (frequency flat) plus per-subcarrier baseband matrices."""
+def _fix_column_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each column so its first significant entry is real positive.
 
-    rf: np.ndarray                 # (N, N_rf); unit-modulus entries before rfil_scale
-    bb: np.ndarray                 # (K, N_rf, N_s)
-    structure: str = "fully-connected"
-    rfil_scale: float = 1.0
-
-    @property
-    def scaled_rf(self) -> np.ndarray:
-        return self.rf * self.rfil_scale
-
-
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
+    Returns the rotated columns and the unit phase each column was divided by.
+    """
     v = np.array(vectors)
-    cols = v.reshape(-1, v.shape[-1]) if v.ndim == 2 else v
     mags = np.abs(v)
     thresh = 1e-12 * np.maximum(mags.max(axis=-2, keepdims=True), 1e-300)
     first = np.argmax(mags > thresh, axis=-2)
     lead = np.take_along_axis(v, first[..., None, :], axis=-2)[..., 0, :]
     phase = np.where(np.abs(lead) > 0, lead / np.where(np.abs(lead) > 0, np.abs(lead), 1.0), 1.0)
-    return v * phase.conj()[..., None, :]
+    return v * phase.conj()[..., None, :], phase
 
 
 def phase_project(vectors: np.ndarray) -> np.ndarray:
     """Entry-wise unit-modulus projection e^{j arg(.)}."""
     return np.exp(1j * np.angle(vectors))
-
-
-def rf_from_covariance(cov: np.ndarray, n_rf: int) -> np.ndarray:
-    """Phase-only projections of the n_rf dominant eigenvectors, by falling eigenvalue."""
-    n = cov.shape[0]
-    if n_rf < 1 or n_rf > n:
-        raise ConfigurationError(f"need 1 <= n_rf <= {n}, got {n_rf}")
-    if not np.any(np.abs(cov) > 0):
-        raise DegenerateInputError("channel covariance is identically zero")
-    _, vecs = np.linalg.eigh(cov)
-    top = vecs[:, ::-1][:, :n_rf]
-    return phase_project(_fix_column_phases(top))
 
 
 def top_eigvecs_factored(basis: np.ndarray, core: np.ndarray, n: int) -> np.ndarray:
@@ -82,42 +56,7 @@ def top_eigvecs_factored(basis: np.ndarray, core: np.ndarray, n: int) -> np.ndar
             f"covariance rank {small.shape[0]} cannot supply {n} eigenvectors")
     _, vecs = np.linalg.eigh(small)
     top = q @ vecs[:, ::-1][:, :n]
-    return _fix_column_phases(top)
-
-
-def _sample_covariance(freq: np.ndarray, side: str) -> np.ndarray:
-    if freq.ndim != 3:
-        raise DimensionError("frequency-domain channel must have shape (K, N_rx, N_tx)")
-    k = freq.shape[0]
-    if side == "tx":
-        return np.einsum("kni,knj->ij", freq.conj(), freq, optimize=True) / k
-    if side == "rx":
-        return np.einsum("kin,kjn->ij", freq, freq.conj(), optimize=True) / k
-    raise ConfigurationError("side must be 'tx' or 'rx'")
-
-
-def rf_stage_fully_connected(freq: np.ndarray, side: str, n_rf: int) -> np.ndarray:
-    """Unit-modulus RF matrix (N, n_rf) from the sample covariance of the channel."""
-    return rf_from_covariance(_sample_covariance(freq, side), n_rf)
-
-
-def rf_stage_subarray(freq: np.ndarray, partition: SubarrayPartition, side: str,
-                      n_rf_per_subarray: int) -> np.ndarray:
-    """Block-diagonal unit-modulus RF matrix; block u is the fully connected
-    design of subarray u's sub-channel. Off-block entries are exactly zero."""
-    n = partition.num_elements
-    expected = freq.shape[2] if side == "tx" else freq.shape[1]
-    if expected != n:
-        raise DimensionError(
-            f"partition covers {n} elements but channel has {expected} on the {side} side")
-    u = partition.num_subarrays
-    out = np.zeros((n, u * n_rf_per_subarray), dtype=complex)
-    for b, block in enumerate(partition.element_index_sets):
-        idx = np.asarray(block)
-        sub = freq[:, :, idx] if side == "tx" else freq[:, idx, :]
-        cols = slice(b * n_rf_per_subarray, (b + 1) * n_rf_per_subarray)
-        out[idx, cols] = rf_from_covariance(_sample_covariance(sub, side), n_rf_per_subarray)
-    return out
+    return _fix_column_phases(top)[0]
 
 
 def bb_svd(effective: np.ndarray, num_streams: int):
@@ -133,13 +72,8 @@ def bb_svd(effective: np.ndarray, num_streams: int):
         raise ConfigurationError(
             f"{num_streams} streams exceed effective channel dimensions {effective.shape[1:]}")
     u, _, vh = np.linalg.svd(effective)
-    v = vh.conj().transpose(0, 2, 1)[:, :, :num_streams]
-    u = u[:, :, :num_streams]
-    lead = np.take_along_axis(
-        v, np.argmax(np.abs(v) > 1e-12 * np.abs(v).max(axis=1, keepdims=True), axis=1)[:, None, :],
-        axis=1)[:, 0, :]
-    phase = np.where(np.abs(lead) > 0, lead / np.where(np.abs(lead) > 0, np.abs(lead), 1.0), 1.0)
-    return v * phase.conj()[:, None, :], u * phase.conj()[:, None, :]
+    v, phase = _fix_column_phases(vh.conj().transpose(0, 2, 1)[:, :, :num_streams])
+    return v, u[:, :, :num_streams] * phase.conj()[:, None, :]
 
 
 def zf_bb_precoder(effective: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
@@ -216,14 +150,3 @@ def normalize_power(rf_precoder: np.ndarray, bb_precoder: np.ndarray, num_stream
     if np.any(norms == 0):
         raise DegenerateInputError("coupled precoder is zero on some subcarrier")
     return bb_precoder * (np.sqrt(num_streams) / norms)[:, None, None]
-
-
-def effective_channel(freq: np.ndarray, rx_matrix: np.ndarray | None,
-                      tx_matrix: np.ndarray | None) -> np.ndarray:
-    """Dense per-subcarrier W^H H[k] F for explicit (K, N_rx, N_tx) tensors."""
-    out = freq
-    if rx_matrix is not None:
-        out = np.einsum("ia,kij->kaj", rx_matrix.conj(), out, optimize=True)
-    if tx_matrix is not None:
-        out = out @ tx_matrix
-    return out

@@ -13,16 +13,15 @@ import pytest
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, partition_subarrays
-from fdiab.channel import (ClusterConfig, WidebandChannel, assemble_delay_taps,
-                           perturb_effective_channel, sample_cluster_geometry,
-                           to_frequency)
+from fdiab.channel import (ClusterConfig, PathChannel, draw_cee_noise,
+                           perturb_effective_channel, sample_cluster_geometry)
 from fdiab.config import ExperimentConfig
 from fdiab.harness import run_experiment, write_csv
 from fdiab.link import SnrPoint, se_backhaul
 from fdiab.rfil import RfComponentLosses, loss_fully_connected, loss_subarray
-from fdiab.transceiver import (bb_svd, mmse_bb_combiner, normalize_power,
-                               rf_stage_fully_connected, rf_stage_subarray,
-                               zf_bb_precoder)
+from fdiab.scenario import _rf_factored
+from fdiab.transceiver import mmse_bb_combiner, normalize_power, zf_bb_precoder
+from oracles import WidebandChannel, assemble_delay_taps, to_frequency
 
 ACCEPTANCE = replace(ExperimentConfig(), subcarriers=128, num_taps=128,
                      snr_db_grid=(15.0,), trials=200, master_seed=1, threads=2)
@@ -52,17 +51,16 @@ def _mean(rows, **kw):
 
 def test_criterion_1_property_suite(tmp_path):
     rng = np.random.default_rng(2)
-    paths = 6
-    ar = rng.standard_normal((16, paths)) + 1j * rng.standard_normal((16, paths))
-    at = rng.standard_normal((16, paths)) + 1j * rng.standard_normal((16, paths))
-    g = rng.standard_normal((paths, 8)) + 1j * rng.standard_normal((paths, 8))
-    freq = np.einsum("np,pk,mp->knm", ar, g, at.conj())
-
-    f_rf = rf_stage_fully_connected(freq, "tx", 4)
+    cfg = ClusterConfig(num_clusters=2, rays_per_cluster=4,
+                        sampling_time=1e-7, num_taps=16)
+    # the RF stage of the sweep, on a 4x4-to-4x4 channel over 16 subcarriers
+    channel = PathChannel(sample_cluster_geometry(cfg, 2), ArrayGeometry(4, 4),
+                          ArrayGeometry(4, 4), cfg, 16)
+    f_rf = _rf_factored(channel, "tx", 4)
     assert np.allclose(np.abs(f_rf), 1.0, atol=1e-12)
 
     part = partition_subarrays(16, 4)
-    f_sub = rf_stage_subarray(freq, part, "tx", 1)
+    f_sub = _rf_factored(channel, "tx", 1, part)
     for col in range(4):
         off = np.setdiff1d(np.arange(16), np.asarray(part.element_index_sets[col]))
         assert np.all(f_sub[off, col] == 0.0)
@@ -78,8 +76,6 @@ def test_criterion_1_property_suite(tmp_path):
     mui = np.abs(coupled - np.einsum("ku,uv->kuv", np.einsum("kuu->ku", coupled), np.eye(4)))
     assert np.max(mui) <= 1e-10 * np.min(diag)
 
-    cfg = ClusterConfig(num_clusters=2, rays_per_cluster=4,
-                        sampling_time=1e-7, num_taps=16)
     taps = assemble_delay_taps(sample_cluster_geometry(cfg, 3),
                                ArrayGeometry(2, 2), ArrayGeometry(2, 2), cfg)
     ch = to_frequency(WidebandChannel(taps=taps), 64)
@@ -300,7 +296,7 @@ def test_criterion_7_statistical_oracles():
     h = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
     ratios = []
     for _ in range(1000):
-        delta = h - perturb_effective_channel(h, 0.1, rng)
+        delta = h - perturb_effective_channel(h, 0.1, draw_cee_noise(rng, h.shape))
         ratios.append(np.sum(np.abs(delta) ** 2) / np.sum(np.abs(h) ** 2))
     assert abs(np.mean(ratios) / 0.01 - 1.0) < 0.05
 

@@ -3,13 +3,13 @@ import pytest
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, WidebandChannel,
-                           apply_residual_sic, assemble_delay_taps, ci_path_loss,
-                           gen_si_channel, load_channel, near_field_los,
+from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
+                           ci_path_loss, draw_cee_noise, near_field_los,
                            perturb_effective_channel, raised_cosine,
-                           sample_cluster_geometry, save_channel, si_channel_parts,
-                           to_frequency)
+                           sample_cluster_geometry, si_channel_parts)
 from fdiab.errors import ConfigurationError, DegenerateInputError, DomainError
+from oracles import (WidebandChannel, assemble_delay_taps, frequency_response,
+                     gen_si_channel, to_frequency)
 
 TS = 1.0 / (64 * 120e3)
 
@@ -163,7 +163,7 @@ def test_path_channel_matches_dense_assembly():
     k = 32
     pc = PathChannel(paths, tx, rx, cfg, k)
     dense = to_frequency(WidebandChannel(taps=assemble_delay_taps(paths, tx, rx, cfg)), k)
-    assert np.allclose(pc.frequency_response(), dense.freq, atol=1e-10)
+    assert np.allclose(frequency_response(pc), dense.freq, atol=1e-10)
     # effective channels through explicit matrices
     rng = np.random.default_rng(0)
     w = rng.standard_normal((rx.num_elements, 2)) + 1j * rng.standard_normal((rx.num_elements, 2))
@@ -171,11 +171,21 @@ def test_path_channel_matches_dense_assembly():
     eff = pc.effective(w, f)
     ref = np.einsum("ia,kij,jb->kab", w.conj(), dense.freq, f, optimize=True)
     assert np.allclose(eff, ref, atol=1e-10)
-    # sample covariances
-    assert np.allclose(pc.tx_covariance(),
+    # sample covariances, whole array and one element subset per side
+    def covariance(side, idx=None):
+        basis, core = pc.covariance_factors(side, idx)
+        return basis @ core @ basis.conj().T
+
+    assert np.allclose(covariance("tx"),
                        np.einsum("kni,knj->ij", dense.freq.conj(), dense.freq) / k, atol=1e-10)
-    assert np.allclose(pc.rx_covariance(),
+    assert np.allclose(covariance("rx"),
                        np.einsum("kin,kjn->ij", dense.freq, dense.freq.conj()) / k, atol=1e-10)
+    cols, rows = np.array([0, 2, 5]), np.array([1, 3])
+    sub_tx, sub_rx = dense.freq[:, :, cols], dense.freq[:, rows, :]
+    assert np.allclose(covariance("tx", cols),
+                       np.einsum("kni,knj->ij", sub_tx.conj(), sub_tx) / k, atol=1e-10)
+    assert np.allclose(covariance("rx", rows),
+                       np.einsum("kin,kjn->ij", sub_rx, sub_rx.conj()) / k, atol=1e-10)
     # per-subcarrier singular values
     sv = pc.subcarrier_singular_values(2)
     ref_sv = np.linalg.svd(dense.freq, compute_uv=False)[:, :2]
@@ -271,27 +281,28 @@ def test_near_field_warning_outside_radius():
         near_field_los(tx, rx, lam)
 
 
+@pytest.mark.filterwarnings("ignore:panel separation")
 def test_apply_residual_sic():
-    mats = np.ones((4, 2, 2), dtype=complex)
-    assert np.array_equal(apply_residual_sic(mats, 0.0), mats)
-    out = apply_residual_sic(mats, 80.0)
-    assert np.isclose(np.sum(np.abs(mats) ** 2) / np.sum(np.abs(out) ** 2), 1e8)
-    unit = np.eye(2) / np.sqrt(2.0)
-    assert np.isclose(np.linalg.norm(apply_residual_sic(unit, 20.0)), 0.1)
+    lam = 3e8 / 28e9
+    tx = ArrayGeometry(2, 2)
+    rx = ArrayGeometry(2, 2, origin=(8 * lam, 0.0, 0.0))
+    parts = si_channel_parts(tx, rx, SiChannelConfig(rician_factor_db=10.0), small_cfg(),
+                             4, lam, 16)
+    eye = np.eye(4)
+    full = parts.effective(eye, eye)
+    assert np.array_equal(parts.attenuated(0.0).effective(eye, eye), full)
+    out = parts.attenuated(80.0).effective(eye, eye)
+    assert np.isclose(np.sum(np.abs(full) ** 2) / np.sum(np.abs(out) ** 2), 1e8)
+    unit = SiChannelParts(np.eye(2) / np.sqrt(2.0), None, 1.0, 0.0)
+    assert np.isclose(np.linalg.norm(unit.attenuated(20.0).effective(np.eye(2), np.eye(2))),
+                      0.1)
     with pytest.raises(DomainError):
-        apply_residual_sic(mats, -1.0)
-
-
-def test_cee_model_validation():
-    from fdiab.channel import CeeModel
-    assert CeeModel(0.1).sigma_e == 0.1
-    with pytest.raises(ConfigurationError):
-        CeeModel(-0.1)
+        parts.attenuated(-1.0)
 
 
 def test_cee_perfect_estimate():
     h = np.random.default_rng(0).standard_normal((4, 3, 2)) + 0j
-    assert np.array_equal(perturb_effective_channel(h, 0.0, 1), h)
+    assert np.array_equal(perturb_effective_channel(h, 0.0, draw_cee_noise(1, h.shape)), h)
 
 
 def test_cee_variance_ratio():
@@ -300,7 +311,7 @@ def test_cee_variance_ratio():
     sigma_e = 0.1
     ratios = []
     for _ in range(1000):
-        delta = h - perturb_effective_channel(h, sigma_e, rng)
+        delta = h - perturb_effective_channel(h, sigma_e, draw_cee_noise(rng, h.shape))
         ratios.append(np.sum(np.abs(delta) ** 2) / np.sum(np.abs(h) ** 2))
     assert abs(np.mean(ratios) / sigma_e ** 2 - 1.0) < 0.05
 
@@ -308,25 +319,8 @@ def test_cee_variance_ratio():
 def test_cee_zero_mean():
     rng = np.random.default_rng(13)
     h = np.ones((1, 2, 2), dtype=complex)
-    deltas = np.array([h - perturb_effective_channel(h, 0.3, rng) for _ in range(10_000)])
+    deltas = np.array([h - perturb_effective_channel(h, 0.3, draw_cee_noise(rng, h.shape))
+                       for _ in range(10_000)])
     mean = deltas.mean()
     sigma = 0.3 / np.sqrt(deltas.size)
     assert abs(mean) < 3 * sigma * 2  # complex mean, loose 3-sigma band
-
-
-def test_channel_file_round_trip(tmp_path):
-    cfg = small_cfg(num_taps=4)
-    tx, rx = ArrayGeometry(2, 2), ArrayGeometry(2, 2)
-    taps = assemble_delay_taps(sample_cluster_geometry(cfg, 9), tx, rx, cfg)
-    ch = to_frequency(WidebandChannel(taps=taps), 8)
-    path = tmp_path / "chan.bin"
-    save_channel(ch, path)
-    back = load_channel(path)
-    assert back.taps.shape == (4, 4, 4)
-    assert back.freq.shape == (8, 4, 4)
-    assert np.allclose(back.taps, ch.taps, rtol=1e-5, atol=1e-6)
-    assert np.allclose(back.freq, ch.freq, rtol=1e-5, atol=1e-6)
-    # header carries little-endian uint32 dims (N_rx, N_tx, D, K)
-    import struct
-    with open(path, "rb") as fh:
-        assert struct.unpack("<4I", fh.read(16)) == (4, 4, 4, 8)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import fdiab.harness as harness
 from fdiab.config import ExperimentConfig, dump_config, load_config, save_config
-from fdiab.errors import ConfigurationError
+from fdiab.errors import ConfigurationError, NearSingularError
 from fdiab.harness import (CSV_COLUMNS, SweepResult, aggregate_figure, derive_seed,
                            read_csv, run_experiment, write_csv, write_figure_csv)
 
@@ -125,7 +125,7 @@ def test_failed_trials_logged_and_capped(monkeypatch):
 
     def flaky(c, s, trial):
         if trial == 0:
-            raise RuntimeError("boom")
+            raise NearSingularError("boom")
         return original(c, s, trial)
 
     monkeypatch.setitem(harness._TRIALS, "fig4", flaky)
@@ -134,17 +134,32 @@ def test_failed_trials_logged_and_capped(monkeypatch):
 
     # the worker entry point hands the failure back as data instead of raising
     scn = harness.build_scenario(cfg)
-    assert harness.run_trial(cfg, scn, "fig4", 0) == ([], ("RuntimeError", "boom"))
+    assert harness.run_trial(cfg, scn, "fig4", 0) == ([], ("NearSingularError", "boom"))
     rows, failure = harness.run_trial(cfg, scn, "fig4", 1)
     assert failure is None and {r["trial"] for r in rows} == {1}
 
     def very_flaky(c, s, trial):
         if trial < 3:
-            raise RuntimeError("boom")
+            raise NearSingularError("boom")
         return original(c, s, trial)
 
     monkeypatch.setitem(harness._TRIALS, "fig4", very_flaky)
     with pytest.raises(RuntimeError, match="trials failed"):
+        run_experiment(cfg)
+
+
+def test_programming_error_stops_the_run(monkeypatch):
+    cfg = replace(TINY, experiments=("fig4",), trials=10)
+    original = harness._TRIALS["fig4"]
+
+    def broken(c, s, trial):
+        if trial == 0:
+            raise RuntimeError("boom")
+        return original(c, s, trial)
+
+    # one failure is within the 10 % cap, but only numerical failures are tolerated
+    monkeypatch.setitem(harness._TRIALS, "fig4", broken)
+    with pytest.raises(RuntimeError, match="^boom$"):
         run_experiment(cfg)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdiab.errors import DomainError
-from fdiab.link import SnrPoint, digital_sic_ability, se_access, se_backhaul
+from fdiab.link import SnrPoint, se_access, se_backhaul
 from fdiab.transceiver import mmse_bb_combiner
 
 
@@ -114,11 +114,3 @@ def test_access_zero_forcing_interference_below_noise():
     mui = np.abs(rows - np.eye(4)[None]) ** 2
     snr = SnrPoint(10.0, num_subcarriers=8)
     assert np.max(mui.sum(axis=2)) * snr.stream_power(4) < 1e-8 * snr.noise_power
-
-
-def test_digital_sic_ability_arithmetic():
-    sic = digital_sic_ability(2, se_with_dsic=41.0, se_without_dsic=33.3, se_ideal=45.7)
-    assert np.isclose(sic.improvement_pct, 100 * (41.0 - 33.3) / 33.3)
-    assert np.isclose(sic.rate_loss, 4.7)
-    with pytest.raises(DomainError):
-        digital_sic_ability(2, 1.0, 0.0, 2.0)

