@@ -18,7 +18,7 @@ from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
                      DomainError, FdiabError, NearSingularError)
 from .harness import (SweepResult, aggregate_figure, derive_seed, read_csv,
                       run_experiment, write_csv, write_figure_csv)
-from .link import SeResult, SnrPoint, se_access, se_backhaul
+from .link import SeResult, SnrPoint, duplex_rates, se_access, se_backhaul
 from .rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
 from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Realization, Scenario,
                        build_scenario, draw_realization, full_digital_backhaul_se)

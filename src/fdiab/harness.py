@@ -74,34 +74,21 @@ def _row(experiment, scheme, link, duplex, snr_db, sigma_e, chains, ps_kind, tri
 def _trial_fig4(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     seeder = _seeder(cfg.master_seed, "fig4", trial)
     real = draw_realization(scn, seeder)
+    chains = cfg.rx_chains_per_subarray
     rows = []
     for structure in cfg.structures:
         access = AccessLinkDesign(scn, real, structure)
-        backhaul = BackhaulLinkDesign(scn, real, access, structure,
-                                      cfg.rx_chains_per_subarray)
+        designs = {"access": access,
+                   "backhaul": BackhaulLinkDesign(scn, real, access, structure, chains)}
         for ps_kind in cfg.ps_kinds:
-            bh_tx, bh_rx = backhaul.budgets(ps_kind)
-            ac_tx, ac_user = access.budgets(ps_kind)
-            for snr_db in cfg.snr_db_grid:
-                snr = scn.snr_point(snr_db)
-                if "backhaul" in cfg.links:
-                    results = backhaul.evaluate(ps_kind, snr, duplexes=cfg.duplexes)
-                    for duplex, res in results.items():
-                        rows.append(_row("fig4", structure, "backhaul", duplex, snr_db,
-                                         0.0, cfg.rx_chains_per_subarray, ps_kind, trial,
-                                         res.se_bps_hz, bh_tx.total_db + bh_rx.total_db))
-                if "access" in cfg.links:
-                    wanted = {d if d != "fd_perfect_sic" else "fd" for d in cfg.duplexes}
-                    results = access.evaluate(ps_kind, snr, duplexes=tuple(sorted(wanted)))
-                    if "fd_perfect_sic" in cfg.duplexes:
-                        # no self-interference at the users: equals full duplex
-                        results["fd_perfect_sic"] = results["fd"]
-                        if "fd" not in cfg.duplexes:
-                            del results["fd"]
-                    for duplex, res in results.items():
-                        rows.append(_row("fig4", structure, "access", duplex, snr_db,
-                                         0.0, cfg.rx_chains_per_subarray, ps_kind, trial,
-                                         res.se_bps_hz, ac_tx.total_db + ac_user.total_db))
+            for link in cfg.links:
+                tx_b, rx_b = designs[link].budgets(ps_kind)
+                for snr_db in cfg.snr_db_grid:
+                    results = designs[link].evaluate(ps_kind, scn.snr_point(snr_db))
+                    for duplex in cfg.duplexes:
+                        rows.append(_row("fig4", structure, link, duplex, snr_db, 0.0,
+                                         chains, ps_kind, trial, results[duplex].se_bps_hz,
+                                         tx_b.total_db + rx_b.total_db))
     return rows
 
 
@@ -122,12 +109,11 @@ def _trial_fig5(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
             for snr_db in cfg.cee_snrs_db:
                 snr = scn.snr_point(snr_db)
                 for sigma_e in cfg.sigma_e_grid:
-                    results = backhaul.evaluate(ps_kind, snr, sigma_e, cee_noise,
-                                                duplexes=("fd", "hd"))
-                    for duplex, res in results.items():
+                    results = backhaul.evaluate(ps_kind, snr, sigma_e, cee_noise)
+                    for duplex in ("fd", "hd"):
                         rows.append(_row("fig5", structure, "backhaul", duplex, snr_db,
                                          sigma_e, chains, ps_kind, trial,
-                                         res.se_bps_hz, rfil_db))
+                                         results[duplex].se_bps_hz, rfil_db))
     return rows
 
 
@@ -139,8 +125,7 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     access = AccessLinkDesign(scn, real, "subarray")
     for chains in cfg.sic_chain_counts:
         backhaul = BackhaulLinkDesign(scn, real, access, "subarray", chains)
-        results = backhaul.evaluate("ideal", snr, duplexes=("fd", "fd_perfect_sic"),
-                                    include_no_dsic=True)
+        results = backhaul.evaluate("ideal", snr, include_no_dsic=True)
         rows.append(_row("fig6", "subarray", "backhaul", "fd", cfg.sic_snr_db, 0.0,
                          chains, "ideal", trial, results["fd"].se_bps_hz, 0.0))
         rows.append(_row("fig6", "subarray-no-dsic", "backhaul", "fd", cfg.sic_snr_db,
@@ -151,7 +136,7 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     fc_access = AccessLinkDesign(scn, real, "fully-connected")
     fc = BackhaulLinkDesign(scn, real, fc_access, "fully-connected",
                             cfg.rx_chains_per_subarray)
-    ideal_fc = fc.evaluate("ideal", snr, duplexes=("fd_perfect_sic",))
+    ideal_fc = fc.evaluate("ideal", snr)
     rows.append(_row("fig6", "fully-connected", "backhaul", "fd_perfect_sic",
                      cfg.sic_snr_db, 0.0, cfg.rx_chains_per_subarray, "ideal", trial,
                      ideal_fc["fd_perfect_sic"].se_bps_hz, 0.0))
@@ -312,7 +297,7 @@ def aggregate_figure(rows: list[dict], figure: str) -> list[dict]:
             continue
         groups.setdefault(tuple(row[k] for k in keys), []).append(row)
     out = []
-    for group_key in sorted(groups, key=lambda g: tuple(map(str, g))):
+    for group_key in sorted(groups):
         members = groups[group_key]
         se = np.array([m["se_bps_hz"] for m in members])
         cell = dict(members[0])

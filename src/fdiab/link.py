@@ -1,22 +1,26 @@
 """Spectral-efficiency evaluation for the backhaul and access links.
 
 Signal scaling follows the sweep definition SNR = P_r / (K * U * sigma_n^2)
-with P_r = P_t / mean path loss: with unit noise power the per-stream receive
-scale is snr_linear * U / N_s, and the co-located transmitter's interference
-reaches the receiver with a path-loss advantage of PL_dB minus the applied
-pre-digital cancellation.
+with P_r = P_t / mean path loss: with unit per-subcarrier noise power the
+per-stream receive scale is snr_linear * U * K / N_s, and the co-located
+transmitter's interference reaches the receiver with a path-loss advantage
+of PL_dB minus the applied pre-digital cancellation.
 
 Thermal noise is referenced at the output of the unscaled (unit-modulus)
 analog combining network: its covariance after the baseband combiner is
-noise_power * W_bb^H (W_rf^H W_rf) W_bb, while insertion loss attenuates only
-the signal and interference terms. With ideal components this reduces to the
-usual antenna-referenced noise model, which keeps full-digital and hybrid
-schemes comparable.
+noise_power * W_bb^H (W_rf^H W_rf) W_bb. The receive-side insertion loss
+scales this covariance by the same factor as the signal and interference
+terms, so it cancels in the SINR; transmit-side loss does not. With ideal
+components this reduces to the usual antenna-referenced noise model, which
+keeps full-digital and hybrid schemes comparable.
+
+Both links are evaluated at full rate; ``duplex_rates`` derives the three
+duplex modes from a full-duplex and an interference-free rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,14 +70,29 @@ DUPLEX_MODES = ("fd", "hd", "fd_perfect_sic")
 
 @dataclass
 class SeResult:
-    """Spectral efficiency of one link under one duplexing mode."""
+    """Spectral efficiency of one link at one operating point."""
 
-    link: str
-    duplex: str
     se_bps_hz: float
     per_subcarrier: np.ndarray | None = None
     per_user: np.ndarray | None = None
     regularized_subcarriers: int = 0
+
+
+def duplex_rates(full_duplex: SeResult, interference_free: SeResult) -> dict[str, SeResult]:
+    """One link's rate under each of ``DUPLEX_MODES``.
+
+    ``full_duplex`` is the rate with the residual self-interference,
+    ``interference_free`` the rate of the same hardware without it
+    (``fd_perfect_sic``). Half duplex is that interference-free link for half
+    of the time; halving is exact in floating point.
+    """
+    def half(values):
+        return None if values is None else 0.5 * values
+
+    hd = replace(interference_free, se_bps_hz=half(interference_free.se_bps_hz),
+                 per_subcarrier=half(interference_free.per_subcarrier),
+                 per_user=half(interference_free.per_user))
+    return {"fd": full_duplex, "hd": hd, "fd_perfect_sic": interference_free}
 
 
 def _logdet_ratio(q: np.ndarray, boost: np.ndarray, noise_floor: float):
@@ -94,19 +113,16 @@ def _logdet_ratio(q: np.ndarray, boost: np.ndarray, noise_floor: float):
 
 def se_backhaul(desired: np.ndarray, combiner: np.ndarray, snr: SnrPoint,
                 rsi_true: np.ndarray | None = None, rsi_power: float = 0.0,
-                duplex: str = "fd", noise_gram: np.ndarray | None = None) -> SeResult:
+                noise_gram: np.ndarray | None = None) -> SeResult:
     """Backhaul spectral efficiency under a linear baseband combiner.
 
     ``desired`` (K, M, N_s) is the true effective channel including the
     transmit baseband stage, ``combiner`` (K, M, N_s) the receive baseband
     columns, ``rsi_true`` (K, M, N_i) the true residual self-interference
     effective channel (leakage is evaluated against it even though the
-    combiner was designed from an estimate). Half duplex drops the
-    interference term and halves the rate; ``fd_perfect_sic`` drops the term
-    at full rate.
+    combiner was designed from an estimate); without it the rate is
+    interference free.
     """
-    if duplex not in DUPLEX_MODES:
-        raise DomainError(f"duplex must be one of {DUPLEX_MODES}")
     if desired.shape != combiner.shape:
         raise DimensionError("desired channel and combiner shapes must match")
     k, m, ns = desired.shape
@@ -114,20 +130,17 @@ def se_backhaul(desired: np.ndarray, combiner: np.ndarray, snr: SnrPoint,
     gram = np.eye(m) if noise_gram is None else noise_gram
     wh = w.conj().transpose(0, 2, 1)
     q = snr.noise_power * (wh @ (gram[None, :, :] @ w))
-    if duplex == "fd" and rsi_true is not None and rsi_power > 0.0:
+    if rsi_true is not None and rsi_power > 0.0:
         leak = wh @ rsi_true
         q = q + rsi_power * leak @ leak.conj().transpose(0, 2, 1)
     g = wh @ desired
     boost = snr.stream_power(ns) * g @ g.conj().transpose(0, 2, 1)
     se_k, n_bad = _logdet_ratio(q, boost, snr.noise_power)
-    prelog = 0.5 if duplex == "hd" else 1.0
-    se_k = prelog * se_k
-    return SeResult("backhaul", duplex, float(np.mean(se_k)), per_subcarrier=se_k,
-                    regularized_subcarriers=n_bad)
+    return SeResult(float(np.mean(se_k)), per_subcarrier=se_k, regularized_subcarriers=n_bad)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,
-              noise_scales: np.ndarray | None = None, duplex: str = "fd") -> SeResult:
+              noise_scales: np.ndarray | None = None) -> SeResult:
     """Per-user and sum spectral efficiency of the multiuser access downlink.
 
     ``effective_rows`` (K, U, U): entry (u, v) is user u's combined response
@@ -135,8 +148,6 @@ def se_access(effective_rows: np.ndarray, snr: SnrPoint,
     ``noise_scales`` holds each user's post-combining noise gain (the squared
     norm of its unscaled combiner); defaults to 1.
     """
-    if duplex not in DUPLEX_MODES:
-        raise DomainError(f"duplex must be one of {DUPLEX_MODES}")
     if effective_rows.ndim != 3 or effective_rows.shape[1] != effective_rows.shape[2]:
         raise DimensionError("effective rows must have shape (K, U, U)")
     k, u, _ = effective_rows.shape
@@ -146,8 +157,7 @@ def se_access(effective_rows: np.ndarray, snr: SnrPoint,
     desired = np.einsum("kuu->ku", power)
     mui = power.sum(axis=2) - desired
     sinr = p * desired / (p * mui + snr.noise_power * scales[None, :])
-    prelog = 0.5 if duplex == "hd" else 1.0
-    per_user_k = prelog * np.log2(1.0 + sinr)        # (K, U)
+    per_user_k = np.log2(1.0 + sinr)  # (K, U)
     per_user = per_user_k.mean(axis=0)
-    return SeResult("access", duplex, float(per_user.sum()),
-                    per_subcarrier=per_user_k.sum(axis=1), per_user=per_user)
+    return SeResult(float(per_user.sum()), per_subcarrier=per_user_k.sum(axis=1),
+                    per_user=per_user)

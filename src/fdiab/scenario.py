@@ -6,7 +6,7 @@ user, and the self-interference channel between the co-located IAB panels.
 (eigenvector phase projections, optionally block diagonal), the baseband
 stages (donor SVD precoding, zero forcing across access users, MMSE
 combining against residual self-interference), and evaluate spectral
-efficiency per phase-shifter kind and SNR point.
+efficiency per phase-shifter kind and SNR point under every duplex mode.
 
 Insertion loss enters as scalar factors on the effective channels; designs
 that are scale invariant (RF stages, SVD, ZF) are computed once per
@@ -26,7 +26,7 @@ from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelPart
                       ci_path_loss, perturb_effective_channel, sample_cluster_geometry,
                       si_channel_parts)
 from .errors import ConfigurationError
-from .link import DUPLEX_MODES, SeResult, SnrPoint, se_access, se_backhaul
+from .link import SeResult, SnrPoint, duplex_rates, se_access, se_backhaul
 from .rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
 from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
                           top_eigvecs_factored, zf_bb_precoder)
@@ -186,13 +186,15 @@ class AccessLinkDesign:
             user = loss_subarray("user_rx", n_iab, 1, scn.users, losses)
         return tx, user
 
-    def evaluate(self, ps_kind: str, snr: SnrPoint,
-                 duplexes: tuple[str, ...] = ("fd", "hd")) -> dict[str, SeResult]:
+    def evaluate(self, ps_kind: str, snr: SnrPoint) -> dict[str, SeResult]:
+        """Spectral efficiency per duplexing mode at one operating point."""
         tx_b, user_b = self.budgets(ps_kind)
         g = self.rows0 * (tx_b.linear_scale * user_b.linear_scale)
         # combiner loss applies to noise and signal alike at the user
         scales = (user_b.linear_scale ** 2) * self.noise_scales
-        return {d: se_access(g, snr, scales, duplex=d) for d in duplexes}
+        res = se_access(g, snr, scales)
+        # the users see no self-interference, so full duplex loses nothing
+        return duplex_rates(res, res)
 
 
 class BackhaulLinkDesign:
@@ -237,16 +239,16 @@ class BackhaulLinkDesign:
 
     def evaluate(self, ps_kind: str, snr: SnrPoint, sigma_e: float = 0.0,
                  cee_noise: np.ndarray | None = None,
-                 duplexes: tuple[str, ...] = DUPLEX_MODES,
                  include_no_dsic: bool = False) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
         The full-duplex combiner is designed from the estimated effective SI
         channel (exact when sigma_e = 0) and always judged against the true
-        one. ``cee_noise`` supplies the unit-variance estimation-error draw
-        so sweeps over sigma_e reuse a common realization; required when
-        sigma_e > 0. ``include_no_dsic`` adds an ``fd_no_dsic`` entry where
-        the receiver ignores the interference when combining.
+        one; ``fd_perfect_sic`` and ``hd`` share the interference-free MMSE
+        combiner. ``cee_noise`` supplies the unit-variance estimation-error
+        draw so sweeps over sigma_e reuse a common realization; required
+        when sigma_e > 0. ``include_no_dsic`` adds an ``fd_no_dsic`` entry
+        where the receiver ignores the interference when combining.
         """
         scn = self.scn
         tx_b, rx_b = self.budgets(ps_kind)
@@ -261,28 +263,18 @@ class BackhaulLinkDesign:
         # insertion-loss scale as the effective channels
         gram = (rx_b.linear_scale ** 2) * self.noise_gram
         ref = mmse_bb_combiner(desired, None, snr.noise_power, p, noise_gram=gram)
-        out: dict[str, SeResult] = {}
-        for duplex in duplexes:
-            if duplex == "fd":
-                if sigma_e > 0.0:
-                    if cee_noise is None:
-                        raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
-                    g_hat = perturb_effective_channel(g_si, sigma_e, cee_noise)
-                else:
-                    g_hat = g_si
-                rsi_est = g_hat @ self.access.f_bb
-                comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi,
-                                        noise_gram=gram)
-                out["fd"] = se_backhaul(desired, comb, snr, rsi_true, p_rsi, "fd", gram)
-            elif duplex == "hd":
-                out["hd"] = se_backhaul(desired, ref, snr, duplex="hd", noise_gram=gram)
-            elif duplex == "fd_perfect_sic":
-                out["fd_perfect_sic"] = se_backhaul(desired, ref, snr,
-                                                    duplex="fd_perfect_sic",
-                                                    noise_gram=gram)
+        if sigma_e > 0.0:
+            if cee_noise is None:
+                raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
+            g_hat = perturb_effective_channel(g_si, sigma_e, cee_noise)
+        else:
+            g_hat = g_si
+        rsi_est = g_hat @ self.access.f_bb
+        comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi, noise_gram=gram)
+        out = duplex_rates(se_backhaul(desired, comb, snr, rsi_true, p_rsi, gram),
+                           se_backhaul(desired, ref, snr, noise_gram=gram))
         if include_no_dsic:
-            res = se_backhaul(desired, ref, snr, rsi_true, p_rsi, "fd", gram)
-            out["fd_no_dsic"] = res
+            out["fd_no_dsic"] = se_backhaul(desired, ref, snr, rsi_true, p_rsi, gram)
         return out
 
 
@@ -296,4 +288,4 @@ def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) ->
     sigma = real.backhaul.subcarrier_singular_values(ns)
     p = snr.stream_power(ns)
     se_k = np.sum(np.log2(1.0 + p * sigma ** 2 / snr.noise_power), axis=1)
-    return SeResult("backhaul", "fd_perfect_sic", float(np.mean(se_k)), per_subcarrier=se_k)
+    return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)

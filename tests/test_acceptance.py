@@ -17,7 +17,7 @@ from fdiab.channel import (ClusterConfig, PathChannel, draw_cee_noise,
                            perturb_effective_channel, sample_cluster_geometry)
 from fdiab.config import ExperimentConfig
 from fdiab.harness import run_experiment, write_csv
-from fdiab.link import SnrPoint, se_backhaul
+from fdiab.link import SnrPoint, duplex_rates, se_backhaul
 from fdiab.rfil import RfComponentLosses, loss_fully_connected, loss_subarray
 from fdiab.scenario import _rf_factored
 from fdiab.transceiver import mmse_bb_combiner, normalize_power, zf_bb_precoder
@@ -87,9 +87,9 @@ def test_criterion_1_property_suite(tmp_path):
     desired = rng.standard_normal((8, 8, 4)) + 1j * rng.standard_normal((8, 8, 4))
     comb = mmse_bb_combiner(desired, np.zeros_like(desired), snr.noise_power,
                             snr.stream_power(4), 1.0)
-    fd = se_backhaul(desired, comb, snr, np.zeros_like(desired), 1.0, "fd")
-    hd = se_backhaul(desired, comb, snr, duplex="hd")
-    assert fd.se_bps_hz == 2.0 * hd.se_bps_hz
+    modes = duplex_rates(se_backhaul(desired, comb, snr, np.zeros_like(desired), 1.0),
+                         se_backhaul(desired, comb, snr))
+    assert modes["fd"].se_bps_hz == 2.0 * modes["hd"].se_bps_hz
 
     wins = 0
     for inst in range(100):

@@ -7,6 +7,7 @@ from fdiab.config import ExperimentConfig, dump_config, load_config, save_config
 from fdiab.errors import ConfigurationError, NearSingularError
 from fdiab.harness import (CSV_COLUMNS, SweepResult, aggregate_figure, derive_seed,
                            read_csv, run_experiment, write_csv, write_figure_csv)
+from fdiab.link import DUPLEX_MODES
 
 TINY = replace(
     ExperimentConfig(), subcarriers=32, num_taps=16,
@@ -37,12 +38,15 @@ def test_single_grid_cell_yields_single_row():
     assert row["scheme"] == "subarray" and row["duplex"] == "fd"
 
 
-def test_grid_complete_no_missing_cells():
-    cfg = replace(TINY, experiments=("fig4",))
+@pytest.mark.parametrize("duplexes", [DUPLEX_MODES, ("hd", "fd_perfect_sic")],
+                         ids=["all-modes", "without-fd"])
+def test_grid_complete_no_missing_cells(duplexes):
+    cfg = replace(TINY, experiments=("fig4",), duplexes=duplexes)
     result = run_experiment(cfg)
     expected = (len(cfg.structures) * len(cfg.ps_kinds) * len(cfg.snr_db_grid)
                 * len(cfg.links) * len(cfg.duplexes) * cfg.trials)
     assert len(result.rows) == expected
+    assert {r["duplex"] for r in result.rows} == set(cfg.duplexes)
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -99,10 +103,16 @@ def test_write_empty_result_rejected(tmp_path):
 
 
 def test_figure_aggregation_mean_std(tmp_path):
-    cfg = replace(TINY, experiments=("fig4",), trials=2)
+    cfg = replace(TINY, experiments=("fig4",), trials=2, snr_db_grid=(5.0, 20.0))
     result = run_experiment(cfg)
     cells = aggregate_figure(result.rows, "fig4a")
     assert cells, "no aggregated cells"
+    # cells sort by value: SNR ascends within each series
+    series: dict[tuple, list[float]] = {}
+    for cell in cells:
+        series.setdefault((cell["scheme"], cell["duplex"], cell["ps_kind"]),
+                          []).append(cell["snr_db"])
+    assert all(snrs == sorted(cfg.snr_db_grid) for snrs in series.values())
     for cell in cells:
         assert cell["num_trials"] == 2
         members = [r["se_bps_hz"] for r in result.rows

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdiab.errors import DomainError
-from fdiab.link import SnrPoint, se_access, se_backhaul
+from fdiab.link import DUPLEX_MODES, SnrPoint, duplex_rates, se_access, se_backhaul
 from fdiab.transceiver import mmse_bb_combiner
 
 
@@ -31,10 +31,10 @@ def _designed_link(seed=0, k=16, m=8, ns=4):
 def test_full_duplex_exactly_doubles_half_duplex_at_zero_rsi():
     desired, comb, snr = _designed_link()
     zero_rsi = np.zeros_like(desired)
-    fd = se_backhaul(desired, comb, snr, zero_rsi, rsi_power=5.0, duplex="fd")
-    hd = se_backhaul(desired, comb, snr, duplex="hd")
+    fd = se_backhaul(desired, comb, snr, zero_rsi, rsi_power=5.0)
+    perfect = se_backhaul(desired, comb, snr)
+    hd = duplex_rates(fd, perfect)["hd"]
     assert fd.se_bps_hz == 2.0 * hd.se_bps_hz  # bit-exact
-    perfect = se_backhaul(desired, comb, snr, duplex="fd_perfect_sic")
     assert fd.se_bps_hz == perfect.se_bps_hz
 
 
@@ -42,8 +42,8 @@ def test_perfect_sic_never_below_fd_with_interference():
     rng = np.random.default_rng(1)
     desired, comb, snr = _designed_link(seed=2)
     rsi = rand_stack(rng, desired.shape)
-    fd = se_backhaul(desired, comb, snr, rsi, rsi_power=2.0, duplex="fd")
-    perfect = se_backhaul(desired, comb, snr, duplex="fd_perfect_sic")
+    fd = se_backhaul(desired, comb, snr, rsi, rsi_power=2.0)
+    perfect = se_backhaul(desired, comb, snr)
     assert perfect.se_bps_hz >= fd.se_bps_hz
 
 
@@ -54,7 +54,7 @@ def test_se_monotone_in_snr():
     for snr_db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
         snr = SnrPoint(snr_db, num_subcarriers=8)
         comb = mmse_bb_combiner(desired, None, snr.noise_power, snr.stream_power(4))
-        se = se_backhaul(desired, comb, snr, duplex="fd_perfect_sic").se_bps_hz
+        se = se_backhaul(desired, comb, snr).se_bps_hz
         assert se >= last
         last = se
 
@@ -71,7 +71,7 @@ def test_se_invariant_to_unitary_stream_rotation():
 
     def run(precoded):
         comb = mmse_bb_combiner(precoded, None, snr.noise_power, p)
-        return se_backhaul(precoded, comb, snr, duplex="fd_perfect_sic").se_bps_hz
+        return se_backhaul(precoded, comb, snr).se_bps_hz
 
     # norm is preserved by the rotation, so no renormalization is needed
     assert np.isclose(run(eff @ bb), run(eff @ bb @ q), atol=1e-9)
@@ -80,7 +80,7 @@ def test_se_invariant_to_unitary_stream_rotation():
 def test_regularization_flagged_for_singular_output_covariance():
     desired, comb, snr = _designed_link(seed=5, m=6)
     gram = np.zeros((6, 6))  # degenerate noise coloring forces the ridge
-    res = se_backhaul(desired, comb, snr, duplex="fd_perfect_sic", noise_gram=gram)
+    res = se_backhaul(desired, comb, snr, noise_gram=gram)
     assert res.regularized_subcarriers == desired.shape[0]
     assert np.isfinite(res.se_bps_hz)
 
@@ -91,8 +91,23 @@ def test_access_symmetric_identity_channel():
     res = se_access(rows, snr)
     assert np.allclose(res.per_user, res.per_user[0])
     assert np.isclose(res.se_bps_hz, res.per_user.sum())
-    hd = se_access(rows, snr, duplex="hd")
+    hd = duplex_rates(res, res)["hd"]
     assert np.isclose(hd.se_bps_hz, 0.5 * res.se_bps_hz)
+
+
+def test_half_duplex_halves_every_rate():
+    desired, comb, snr = _designed_link(seed=8)
+    free = se_backhaul(desired, comb, snr)
+    modes = duplex_rates(se_backhaul(desired, comb, snr, desired, rsi_power=1.0), free)
+    assert tuple(modes) == DUPLEX_MODES
+    assert modes["fd_perfect_sic"] is free
+    assert np.array_equal(2.0 * modes["hd"].per_subcarrier, free.per_subcarrier)
+    rows = rand_stack(np.random.default_rng(9), (4, 4, 4))
+    access = se_access(rows, SnrPoint(5.0, num_subcarriers=4))
+    hd = duplex_rates(access, access)["hd"]
+    assert np.array_equal(2.0 * hd.per_user, access.per_user)
+    assert np.array_equal(2.0 * hd.per_subcarrier, access.per_subcarrier)
+    assert hd.se_bps_hz == 0.5 * access.se_bps_hz
 
 
 def test_access_sum_is_additive_over_users():
