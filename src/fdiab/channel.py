@@ -229,21 +229,20 @@ class PathChannel:
     def _weight_gram(self) -> np.ndarray:
         return (self.weights @ self.weights.conj().T) / self.num_subcarriers
 
-    def covariance_factors(self, side: str, idx: np.ndarray | None = None):
+    def covariance_factors(self, side: str):
         """(basis, core) with covariance = basis @ core @ basis^H; core is Hermitian PSD.
 
         The covariance is the sample covariance over subcarriers,
         (1/K) sum_k H[k]^H H[k] on the "tx" side and (1/K) sum_k H[k] H[k]^H
-        on the "rx" side, restricted to the elements ``idx`` of that side.
+        on the "rx" side. The covariance of an element subset of that side
+        takes the matching rows of the basis and the same core.
         """
         if side == "tx":
-            basis = self.tx_basis if idx is None else self.tx_basis[idx]
             s = self.rx_basis.conj().T @ self.rx_basis
-            return basis, s * self._weight_gram().conj()
+            return self.tx_basis, s * self._weight_gram().conj()
         if side == "rx":
-            basis = self.rx_basis if idx is None else self.rx_basis[idx]
             t = self.tx_basis.conj().T @ self.tx_basis
-            return basis, t * self._weight_gram()
+            return self.rx_basis, t * self._weight_gram()
         raise ConfigurationError("side must be 'tx' or 'rx'")
 
     def subcarrier_singular_values(self, num_streams: int) -> np.ndarray:

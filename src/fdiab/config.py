@@ -160,8 +160,20 @@ class ExperimentConfig:
                     f"{self.tx_rf_chains} received plus {self.users} transmitted streams")
             require(self.users * l <= self.iab_elements, "rf-chain-rule",
                     "more receive RF chains than IAB antennas")
-        require(self.clusters * self.rays_per_cluster >= max(self.tx_rf_chains, self.users),
-                "path-count", "too few rays to support the stream count")
+        # each backhaul RF stage draws its eigenvectors from the path-space
+        # covariance: a fully connected receive stage (fig6 designs one in
+        # any case) needs users * L of them, a subarray block its own L
+        fig6 = "fig6" in self.experiments
+        eigvecs = [self.tx_rf_chains, self.users]
+        if "fully-connected" in self.structures or fig6:
+            eigvecs.append(self.users * self.rx_chains_per_subarray)
+        if "subarray" in self.structures:
+            eigvecs.append(self.rx_chains_per_subarray)
+        if fig6:
+            eigvecs += self.sic_chain_counts
+        paths, needed = self.clusters * self.rays_per_cluster, max(eigvecs)
+        require(paths >= needed, "path-count",
+                f"{paths} backhaul paths cannot supply {needed} RF-stage eigenvectors")
         require(self.access_clusters * self.access_rays_per_cluster >= self.users,
                 "path-count", "too few access rays to support the user count")
         require(self.backhaul_distance_m >= 1.0 and self.access_distance_m >= 1.0
@@ -231,9 +243,11 @@ def _parse_value(name: str, raw: str):
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+        return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
-        return f"{value:g}"
+        # short text where it reads back exactly, the shortest exact text otherwise
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
     return str(value)
 
 

@@ -29,11 +29,9 @@ PS_KINDS = ("ideal", "active", "passive")
 
 @dataclass(frozen=True)
 class RfComponentLosses:
-    """Per-component losses; the ``ideal`` kind zeroes every contribution."""
+    """Phase-shifter kind of a network; the ``ideal`` kind zeroes every contribution."""
 
     ps_kind: str = "passive"
-    pd_per_stage_db: float = PD_PER_STAGE_DB
-    pc_per_stage_db: float = PC_PER_STAGE_DB
 
     def __post_init__(self):
         if self.ps_kind not in PS_KINDS:
@@ -74,10 +72,10 @@ def _budget(losses: RfComponentLosses, divider_way: int, combiner_way: int) -> R
         return RfilBudget(0.0, (("ideal", 0, 0.0),))
     items = []
     nd = _stages(divider_way)
-    items.append(("power-divider", nd, losses.pd_per_stage_db * nd))
+    items.append(("power-divider", nd, PD_PER_STAGE_DB * nd))
     items.append(("phase-shifter", 1, losses.ps_db))
     nc = _stages(combiner_way)
-    items.append(("power-combiner", nc, losses.pc_per_stage_db * nc))
+    items.append(("power-combiner", nc, PC_PER_STAGE_DB * nc))
     total = sum(db for _, _, db in items)
     return RfilBudget(total, tuple(items))
 

@@ -127,24 +127,18 @@ def draw_realization(scn: Scenario, seeder: Seeder) -> Realization:
     return Realization(backhaul, access, si.attenuated(scn.si_cfg.pre_digital_sic_db))
 
 
-def _rf_factored(channel: PathChannel | Sequence[PathChannel], side: str, n_rf: int,
-                 partition: SubarrayPartition | None = None) -> np.ndarray:
-    """Phase-projected dominant-eigenvector RF stage via the path-space core.
+def _rf_factored(factors: Sequence[tuple[np.ndarray, np.ndarray]],
+                 blocks: Sequence[range], n_rf: int) -> np.ndarray:
+    """Phase-projected dominant-eigenvector RF stage via path-space cores.
 
-    With a partition the stage is block diagonal: block b holds the ``n_rf``
-    columns designed for the elements of subarray b alone, from ``channel[b]``
-    when one channel per block is given and from ``channel`` otherwise.
+    Block b holds the ``n_rf`` columns designed from ``factors[b]``, a
+    ``covariance_factors`` pair, for the elements ``blocks[b]`` alone; a fully
+    connected stage is one whole-panel block per designing channel.
     """
-    if partition is None:
-        basis, core = channel.covariance_factors(side)
-        return phase_project(top_eigvecs_factored(basis, core, n_rf))
-    blocks = partition.element_index_sets
-    channels = [channel] * len(blocks) if isinstance(channel, PathChannel) else channel
-    out = np.zeros((partition.num_elements, partition.num_subarrays * n_rf), dtype=complex)
-    for b, (block, ch) in enumerate(zip(blocks, channels, strict=True)):
-        idx = np.asarray(block)
-        basis, core = ch.covariance_factors(side, idx)
-        out[idx, b * n_rf:(b + 1) * n_rf] = phase_project(top_eigvecs_factored(basis, core, n_rf))
+    out = np.zeros((len(factors[0][0]), len(blocks) * n_rf), dtype=complex)
+    for b, ((basis, core), block) in enumerate(zip(factors, blocks, strict=True)):
+        top = top_eigvecs_factored(basis[block], core, n_rf)
+        out[block, b * n_rf:(b + 1) * n_rf] = phase_project(top)
     return out
 
 
@@ -161,12 +155,14 @@ class AccessLinkDesign:
                 f"({scn.tx_chains} chains, {u} users)")
         # one transmit column per user, designed from that user's channel
         if structure == "fully-connected":
-            f_rf = np.concatenate([_rf_factored(ch, "tx", 1) for ch in real.access], axis=1)
+            blocks = (range(scn.iab_tx_geom.num_elements),) * u
         else:
-            f_rf = _rf_factored(real.access, "tx", 1, scn.iab_partition)
-        combiners = [_rf_factored(ch, "rx", 1) for ch in real.access]
-        self.f_rf = f_rf
-        self.combiners = combiners
+            blocks = scn.iab_partition.element_index_sets
+        f_rf = _rf_factored([ch.covariance_factors("tx") for ch in real.access], blocks, 1)
+        user_panel = (range(scn.user_geom.num_elements),)
+        combiners = [_rf_factored([ch.covariance_factors("rx")], user_panel, 1)
+                     for ch in real.access]
+        self.f_rf, self.combiners = f_rf, combiners
         eff = np.concatenate([ch.effective(w, f_rf) for ch, w in zip(real.access, combiners)],
                              axis=1)                             # (K, U, U)
         self.f_bb = normalize_power(f_rf, zf_bb_precoder(eff), u, equal_streams=True)
@@ -210,11 +206,14 @@ class BackhaulLinkDesign:
         m = scn.users * chains_per_subarray
         ch = real.backhaul
         if structure == "fully-connected":
-            self.f_rf = _rf_factored(ch, "tx", ns)
-            self.w_rf = _rf_factored(ch, "rx", m)
+            tx_blocks, n_tx = (range(scn.donor_geom.num_elements),), ns
+            rx_blocks, n_rx = (range(scn.iab_rx_geom.num_elements),), m
         else:
-            self.f_rf = _rf_factored(ch, "tx", 1, scn.donor_partition)
-            self.w_rf = _rf_factored(ch, "rx", chains_per_subarray, scn.iab_partition)
+            tx_blocks, n_tx = scn.donor_partition.element_index_sets, 1
+            rx_blocks, n_rx = scn.iab_partition.element_index_sets, chains_per_subarray
+        # one core per side, shared by all of that side's blocks
+        self.f_rf = _rf_factored([ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx)
+        self.w_rf = _rf_factored([ch.covariance_factors("rx")] * len(rx_blocks), rx_blocks, n_rx)
         eff = ch.effective(self.w_rf, self.f_rf)                 # (K, M, Ns)
         precoder, _ = bb_svd(eff, ns)
         self.f_bb = normalize_power(self.f_rf, precoder, ns)

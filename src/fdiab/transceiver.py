@@ -22,6 +22,9 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
                      DomainError, NearSingularError)
 
+# largest per-subcarrier condition number zero forcing accepts
+ZF_COND_LIMIT = 1e8
+
 
 def _fix_column_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each column so its first significant entry is real positive.
@@ -76,7 +79,7 @@ def bb_svd(effective: np.ndarray, num_streams: int):
     return v, u[:, :, :num_streams] * phase.conj()[:, None, :]
 
 
-def zf_bb_precoder(effective: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
+def zf_bb_precoder(effective: np.ndarray) -> np.ndarray:
     """Per-subcarrier zero-forcing precoder for stacked single-stream users.
 
     ``effective`` holds one row per user: (K, U, N_tx_rf). The result is the
@@ -91,7 +94,7 @@ def zf_bb_precoder(effective: np.ndarray, cond_limit: float = 1e8) -> np.ndarray
     s = np.linalg.svd(effective, compute_uv=False)
     cond = s[:, 0] / np.where(s[:, -1] > 0, s[:, -1], np.inf)
     worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > cond_limit:
+    if not np.isfinite(worst) or worst > ZF_COND_LIMIT:
         raise NearSingularError("multiuser effective channel is rank deficient",
                                 condition_number=worst)
     pinv = np.linalg.pinv(effective)

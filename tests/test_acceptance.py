@@ -56,11 +56,12 @@ def test_criterion_1_property_suite(tmp_path):
     # the RF stage of the sweep, on a 4x4-to-4x4 channel over 16 subcarriers
     channel = PathChannel(sample_cluster_geometry(cfg, 2), ArrayGeometry(4, 4),
                           ArrayGeometry(4, 4), cfg, 16)
-    f_rf = _rf_factored(channel, "tx", 4)
+    factors = channel.covariance_factors("tx")
+    f_rf = _rf_factored([factors], (range(16),), 4)
     assert np.allclose(np.abs(f_rf), 1.0, atol=1e-12)
 
     part = partition_subarrays(16, 4)
-    f_sub = _rf_factored(channel, "tx", 1, part)
+    f_sub = _rf_factored([factors] * 4, part.element_index_sets, 1)
     for col in range(4):
         off = np.setdiff1d(np.arange(16), np.asarray(part.element_index_sets[col]))
         assert np.all(f_sub[off, col] == 0.0)

@@ -172,9 +172,9 @@ def test_path_channel_matches_dense_assembly():
     ref = np.einsum("ia,kij,jb->kab", w.conj(), dense.freq, f, optimize=True)
     assert np.allclose(eff, ref, atol=1e-10)
     # sample covariances, whole array and one element subset per side
-    def covariance(side, idx=None):
-        basis, core = pc.covariance_factors(side, idx)
-        return basis @ core @ basis.conj().T
+    def covariance(side, idx=slice(None)):
+        basis, core = pc.covariance_factors(side)
+        return basis[idx] @ core @ basis[idx].conj().T
 
     assert np.allclose(covariance("tx"),
                        np.einsum("kni,knj->ij", dense.freq.conj(), dense.freq) / k, atol=1e-10)

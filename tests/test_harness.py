@@ -174,18 +174,25 @@ def test_programming_error_stops_the_run(monkeypatch):
 
 
 def test_config_validation_rule_names():
-    bad = {
-        "taps-within-cp": replace(TINY, num_taps=64),
-        "subarray-divisibility": replace(TINY, users=3, tx_rf_chains=3),
-        "rf-chain-rule": replace(TINY, rx_chains_per_subarray=1, sic_chain_counts=(2,)),
-        "ps-kind-valid": replace(TINY, ps_kinds=("ideal", "lossless")),
-        "structure-valid": replace(TINY, structures=("hybrid",)),
-        "sigma-e-nonnegative": replace(TINY, sigma_e_grid=(-0.1,)),
-        "ci-reference-distance": replace(TINY, backhaul_distance_m=0.2),
-        "positive-counts": replace(TINY, trials=0),
-        "grids-nonempty": replace(TINY, snr_db_grid=()),
-    }
-    for rule, cfg in bad.items():
+    two_users = replace(TINY, users=2, tx_rf_chains=2)
+    bad = [
+        ("taps-within-cp", replace(TINY, num_taps=64)),
+        ("subarray-divisibility", replace(TINY, users=3, tx_rf_chains=3)),
+        ("rf-chain-rule", replace(TINY, rx_chains_per_subarray=1, sic_chain_counts=(2,))),
+        ("ps-kind-valid", replace(TINY, ps_kinds=("ideal", "lossless"))),
+        ("structure-valid", replace(TINY, structures=("hybrid",))),
+        ("sigma-e-nonnegative", replace(TINY, sigma_e_grid=(-0.1,))),
+        ("ci-reference-distance", replace(TINY, backhaul_distance_m=0.2)),
+        ("positive-counts", replace(TINY, trials=0)),
+        ("grids-nonempty", replace(TINY, snr_db_grid=())),
+        # 12 paths against the 2 x 7 eigenvectors of the fully connected receive stage
+        ("path-count", replace(two_users, rx_chains_per_subarray=7, experiments=("fig4",))),
+        # 6 paths against fig6's 8 eigenvectors per subarray block
+        ("path-count", replace(two_users, rays_per_cluster=2, rx_chains_per_subarray=2,
+                               structures=("subarray",), experiments=("fig6",),
+                               sic_chain_counts=(2, 4, 8))),
+    ]
+    for rule, cfg in bad:
         with pytest.raises(ConfigurationError, match=rule):
             cfg.validate()
 
@@ -196,6 +203,16 @@ def test_config_ini_round_trip(tmp_path):
     back = load_config(path)
     assert back == TINY
     assert "schema_version" in dump_config(TINY)
+
+
+def test_config_round_trip_keeps_every_float_digit(tmp_path):
+    cfg = replace(TINY, backhaul_distance_m=123.4567, sigma_e_grid=(0.0, 0.1234567),
+                  carrier_hz=28.123456789e9)
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    # floats that read back exactly from 6 digits keep their short text
+    assert "carrier_hz = 2.8e+10" in dump_config(ExperimentConfig())
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -1,7 +1,8 @@
-"""Property tests of the duplex modes on the designs the sweep runs.
+"""Property tests of the designs the sweep runs: RF stages and duplex modes.
 
 Each example draws one small drop with a random seed and geometry, designs
-both links and evaluates them at one operating point.
+both links and checks their RF and zero-forcing stages or evaluates them at
+one operating point.
 """
 
 from dataclasses import replace
@@ -66,3 +67,34 @@ def test_duplex_modes_of_production_designs(drop, structure, ps_kind, snr_db, si
     assert acc["fd"].se_bps_hz == acc["fd_perfect_sic"].se_bps_hz
     fd, ideal = bh["fd"].se_bps_hz, bh["fd_perfect_sic"].se_bps_hz
     assert fd <= ideal * (1.0 + 1e-12)
+
+
+def _support(partition, n_rf, structure):
+    """Where a stage of ``n_rf`` columns per block may be nonzero."""
+    mask = np.full((partition.num_elements, partition.num_subarrays * n_rf),
+                   structure == "fully-connected")
+    for b, block in enumerate(partition.element_index_sets):
+        mask[np.asarray(block), b * n_rf:(b + 1) * n_rf] = True
+    return mask
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(drop=drops())
+def test_rf_and_zero_forcing_stages_of_production_designs(drop):
+    cfg, seed = drop
+    scn = build_scenario(cfg)
+    real = draw_realization(scn, _seeder(seed, "property", 0))
+    chains = cfg.rx_chains_per_subarray
+    for structure in STRUCTURES:
+        access = AccessLinkDesign(scn, real, structure)
+        backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
+        for mat, support in ((access.f_rf, _support(scn.iab_partition, 1, structure)),
+                             (backhaul.f_rf, _support(scn.donor_partition, 1, structure)),
+                             (backhaul.w_rf, _support(scn.iab_partition, chains, structure))):
+            assert mat.shape == support.shape
+            assert np.all(mat[~support] == 0.0)
+            assert np.allclose(np.abs(mat[support]), 1.0, rtol=0, atol=1e-12)
+        # zero forcing leaves no multiuser interference on any subcarrier
+        diag = np.einsum("kuu->ku", access.rows0)
+        mui = np.abs(access.rows0 - np.einsum("ku,uv->kuv", diag, np.eye(cfg.users)))
+        assert np.max(mui) <= 1e-9 * np.min(np.abs(diag))

@@ -60,17 +60,31 @@ def test_rf_stages_match_dense_oracle(drop, side):
     scn, real = drop
     freq = frequency_response(real.backhaul)
     partition = scn.donor_partition if side == "tx" else scn.iab_partition
+    factors = real.backhaul.covariance_factors(side)
+    panel = (range(partition.num_elements),)
+    blocks = partition.element_index_sets
     for n_rf in (1, 2):
-        assert np.allclose(_rf_factored(real.backhaul, side, n_rf),
+        assert np.allclose(_rf_factored([factors], panel, n_rf),
                            rf_stage_fully_connected(freq, side, n_rf), rtol=0, atol=1e-8)
-        assert np.allclose(_rf_factored(real.backhaul, side, n_rf, partition),
+        assert np.allclose(_rf_factored([factors] * len(blocks), blocks, n_rf),
                            rf_stage_subarray(freq, partition, side, n_rf), rtol=0, atol=1e-8)
-    # one channel per block: block b comes from channel b's own sub-channel
-    per_user = _rf_factored(real.access, "tx", 1, scn.iab_partition)
-    for b, ch in enumerate(real.access):
-        idx = np.asarray(scn.iab_partition.element_index_sets[b])
-        dense = rf_stage_subarray(frequency_response(ch), scn.iab_partition, "tx", 1)
-        assert np.allclose(per_user[idx, b], dense[idx, b], rtol=0, atol=1e-8)
+    # the access stages as designed: column u of the transmit stage comes from
+    # user u's channel, over the whole panel or over subarray u alone
+    if side == "tx":
+        fully = AccessLinkDesign(scn, real, "fully-connected").f_rf
+        per_user = AccessLinkDesign(scn, real, "subarray").f_rf
+        for b, ch in enumerate(real.access):
+            freq_u = frequency_response(ch)
+            assert np.allclose(fully[:, b], rf_stage_fully_connected(freq_u, "tx", 1)[:, 0],
+                               rtol=0, atol=1e-8)
+            idx = np.asarray(scn.iab_partition.element_index_sets[b])
+            dense = rf_stage_subarray(freq_u, scn.iab_partition, "tx", 1)
+            assert np.allclose(per_user[idx, b], dense[idx, b], rtol=0, atol=1e-8)
+    else:
+        combiners = AccessLinkDesign(scn, real, "fully-connected").combiners
+        for w, ch in zip(combiners, real.access, strict=True):
+            assert np.allclose(w, rf_stage_fully_connected(frequency_response(ch), "rx", 1),
+                               rtol=0, atol=1e-8)
 
 
 def test_subarray_designs_block_diagonal(drop):
