@@ -2,7 +2,7 @@
 """Walk through the array and wideband-channel building blocks.
 
 Builds a uniform planar array, inspects steering vectors and subarray
-partitions, draws one clustered channel realization in its factored
+element blocks, draws one clustered channel realization in its factored
 per-path form, and checks its power normalization and rank numerically.
 """
 
@@ -23,7 +23,7 @@ print(f"steering vector norm: {np.linalg.norm(a):.12f} (unit by construction)")
 print(f"entry magnitude:      {np.abs(a[0]):.6f} = 1/sqrt(256)")
 
 part = partition_subarrays(panel.num_elements, 4)
-print(f"partition into 4 subarrays: blocks of {part.block_size} elements "
+print(f"partition into 4 subarrays: blocks of {len(part[0])} elements "
       f"(one 4x16 panel per user)")
 
 print()

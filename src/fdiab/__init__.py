@@ -6,9 +6,9 @@ zero-forcing multiuser precoding and MMSE interference suppression, RF
 insertion-loss budgets, and a seeded Monte Carlo sweep harness.
 """
 
-from .arrays import (ArrayGeometry, SubarrayPartition, aperture_diameter,
-                     element_positions, near_field_radius, partition_subarrays,
-                     steering_matrix, upa_steering)
+from .arrays import (ArrayGeometry, aperture_diameter, element_positions,
+                     near_field_radius, partition_subarrays, steering_matrix,
+                     upa_steering)
 from .channel import (ClusterConfig, ClusterGeometry, PathChannel, SiChannelConfig,
                       SiChannelParts, ci_path_loss, draw_cee_noise, near_field_los,
                       perturb_effective_channel, raised_cosine, sample_cluster_geometry,

@@ -1,4 +1,4 @@
-"""Uniform planar array (UPA) geometry, steering vectors, and subarray partitions.
+"""Uniform planar array (UPA) geometry, steering vectors, and subarray element blocks.
 
 Phase convention shared by the channel and transceiver modules: the phase
 reference sits at element (0, 0); the row index advances the elevation axis
@@ -17,54 +17,31 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-ORIENTATIONS = ("broadside-x", "broadside-y", "broadside-z")
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
     """A rows-by-cols UPA with element pitch given in wavelengths.
 
-    ``origin`` locates element (0, 0) in meters; ``orientation`` names the
-    broadside (normal) axis of the panel.
+    ``origin`` locates element (0, 0) in meters; every panel lies broadside
+    to z, with columns along x and rows along y.
     """
 
     rows: int
     cols: int
     spacing: float = 0.5
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    orientation: str = "broadside-z"
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError(f"UPA needs positive dimensions, got {self.rows}x{self.cols}")
         if self.spacing <= 0.0:
             raise ConfigurationError(f"element spacing must be positive, got {self.spacing}")
-        if self.orientation not in ORIENTATIONS:
-            raise ConfigurationError(f"orientation must be one of {ORIENTATIONS}")
         if len(self.origin) != 3:
             raise ConfigurationError("origin must be a 3-vector in meters")
 
     @property
     def num_elements(self) -> int:
         return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class SubarrayPartition:
-    """Disjoint contiguous element index blocks covering 0..N-1."""
-
-    num_elements: int
-    num_subarrays: int
-    element_index_sets: tuple[range, ...]
-
-    def __post_init__(self):
-        covered = [i for block in self.element_index_sets for i in block]
-        if sorted(covered) != list(range(self.num_elements)):
-            raise ConfigurationError("partition blocks must cover each element exactly once")
-
-    @property
-    def block_size(self) -> int:
-        return self.num_elements // self.num_subarrays
 
 
 def _check_angles(azimuth, elevation):
@@ -101,8 +78,8 @@ def upa_steering(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.nd
     return steering_matrix(geom, [azimuth], [elevation])[:, 0]
 
 
-def partition_subarrays(num_elements: int, num_subarrays: int) -> SubarrayPartition:
-    """Split 0..N-1 into U contiguous equal blocks; U must divide N."""
+def partition_subarrays(num_elements: int, num_subarrays: int) -> tuple[range, ...]:
+    """Split 0..N-1 into U contiguous equal element blocks; U must divide N."""
     if num_elements < 1 or num_subarrays < 1:
         raise ConfigurationError("element and subarray counts must be positive")
     if num_elements % num_subarrays != 0:
@@ -110,16 +87,7 @@ def partition_subarrays(num_elements: int, num_subarrays: int) -> SubarrayPartit
             f"subarray-divisibility: {num_subarrays} subarrays do not divide {num_elements} elements"
         )
     size = num_elements // num_subarrays
-    blocks = tuple(range(u * size, (u + 1) * size) for u in range(num_subarrays))
-    return SubarrayPartition(num_elements, num_subarrays, blocks)
-
-
-_AXIS_MAP = {
-    # orientation -> (column axis, row axis) unit vectors
-    "broadside-z": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-    "broadside-x": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-    "broadside-y": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
-}
+    return tuple(range(u * size, (u + 1) * size) for u in range(num_subarrays))
 
 
 def element_positions(geom: ArrayGeometry, wavelength: float = 1.0) -> np.ndarray:
@@ -131,7 +99,7 @@ def element_positions(geom: ArrayGeometry, wavelength: float = 1.0) -> np.ndarra
     if wavelength <= 0.0:
         raise DomainError("wavelength must be positive")
     pitch = geom.spacing * wavelength
-    col_axis, row_axis = (np.asarray(a) for a in _AXIS_MAP[geom.orientation])
+    col_axis, row_axis = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     idx = np.arange(geom.num_elements)
     r = (idx // geom.cols)[:, None]
     c = (idx % geom.cols)[:, None]

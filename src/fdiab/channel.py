@@ -33,6 +33,8 @@ from .arrays import ArrayGeometry, element_positions, near_field_radius, steerin
 from .errors import ConfigurationError, DimensionError, DomainError
 
 SPEED_OF_LIGHT = 3.0e8
+# fractional delays averaged over by expected_pulse_energy
+PULSE_ENERGY_GRID = 2048
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -172,14 +174,14 @@ def _pulse_taps(delays: np.ndarray, cfg: ClusterConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def expected_pulse_energy(num_taps: int, rolloff: float, grid: int = 2048) -> float:
+def expected_pulse_energy(num_taps: int, rolloff: float) -> float:
     """E_tau[ sum_d p_rc(d*Ts - tau)^2 ] for tau uniform on [0, D*Ts].
 
     Evaluated by averaging the truncated tap-energy sum over a fine fractional
-    delay grid; used to normalize the tap tensor to its expected Frobenius
-    power.
+    delay grid of ``PULSE_ENERGY_GRID`` points; used to normalize the tap
+    tensor to its expected Frobenius power.
     """
-    u = (np.arange(grid) + 0.5) / grid * num_taps
+    u = (np.arange(PULSE_ENERGY_GRID) + 0.5) / PULSE_ENERGY_GRID * num_taps
     d = np.arange(num_taps)
     vals = raised_cosine(d[None, :] - u[:, None], rolloff) ** 2
     return float(np.mean(np.sum(vals, axis=1)))

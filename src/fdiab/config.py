@@ -2,7 +2,8 @@
 
 The config file is a flat key-value format with sections; every key has a
 default, so an empty file is valid. ``schema_version`` guards future layout
-changes. See ``ExperimentConfig`` for the meaning of each field.
+changes. See ``ExperimentConfig`` for the meaning of each field; its
+declaration order is the file layout.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ SCHEMA_VERSION = 1
 class ExperimentConfig:
     """Full description of a sweep run; defaults reproduce the desk-scale setup."""
 
+    # [meta]
     schema_version: int = SCHEMA_VERSION
 
-    # OFDM and array dimensioning
+    # [system] OFDM and array dimensioning
     subcarriers: int = 512
     num_taps: int = 128
     users: int = 4
@@ -53,11 +55,10 @@ class ExperimentConfig:
     backhaul_distance_m: float = 6.0
     sic_backhaul_distance_m: float = 120.0
     cee_backhaul_distance_m: float = 4000.0
-    access_distance_m: float = 30.0
     path_loss_exponent: float = 2.0
     panel_separation_wavelengths: float = 150.0
 
-    # clustered channels (per link) and self-interference
+    # [channel] clustered channels (per link) and self-interference
     clusters: int = 10
     rays_per_cluster: int = 16
     angle_spread_deg: float = 25.0
@@ -70,7 +71,7 @@ class ExperimentConfig:
     si_nlos_rays: int = 4
     sic_db: float = 80.0
 
-    # sweep grids
+    # [sweep] grids
     structures: tuple[str, ...] = STRUCTURES
     ps_kinds: tuple[str, ...] = ("ideal", "active", "passive")
     links: tuple[str, ...] = LINKS
@@ -82,7 +83,7 @@ class ExperimentConfig:
     sic_chain_counts: tuple[int, ...] = (2, 4, 8)
     sic_snr_db: float = 15.0
 
-    # orchestration
+    # [run] orchestration
     experiments: tuple[str, ...] = EXPERIMENTS
     trials: int = 200
     master_seed: int = 1
@@ -124,20 +125,11 @@ class ExperimentConfig:
 
         require(self.schema_version == SCHEMA_VERSION, "schema-version",
                 f"expected {SCHEMA_VERSION}, got {self.schema_version}")
-        positive = {
-            "subcarriers": self.subcarriers, "num_taps": self.num_taps, "users": self.users,
-            "donor_rows": self.donor_rows, "donor_cols": self.donor_cols,
-            "iab_rows": self.iab_rows, "iab_cols": self.iab_cols,
-            "user_rows": self.user_rows, "user_cols": self.user_cols,
-            "tx_rf_chains": self.tx_rf_chains,
-            "rx_chains_per_subarray": self.rx_chains_per_subarray,
-            "clusters": self.clusters, "rays_per_cluster": self.rays_per_cluster,
-            "access_clusters": self.access_clusters,
-            "access_rays_per_cluster": self.access_rays_per_cluster,
-            "trials": self.trials, "threads": self.threads,
-        }
-        for name, value in positive.items():
-            require(value >= 1, "positive-counts", f"{name} must be >= 1, got {value}")
+        # every integer setting is a count, except the schema version and the seed
+        for f in fields(self):
+            if f.type == "int" and f.name not in ("schema_version", "master_seed"):
+                value = getattr(self, f.name)
+                require(value >= 1, "positive-counts", f"{f.name} must be >= 1, got {value}")
         require(self.element_spacing > 0, "spacing-positive",
                 f"element spacing must be positive, got {self.element_spacing}")
         require(self.carrier_hz > 0 and self.subcarrier_spacing_hz > 0, "carrier-positive",
@@ -154,7 +146,10 @@ class ExperimentConfig:
                 f"got {self.tx_rf_chains}")
         require(self.tx_rf_chains <= self.donor_elements, "users-vs-chains",
                 "more donor RF chains than antennas")
-        for l in set(self.sic_chain_counts) | {self.rx_chains_per_subarray}:
+        fig6 = "fig6" in self.experiments
+        # only fig6 designs with the chain counts of its own sweep
+        chain_counts = {self.rx_chains_per_subarray} | set(self.sic_chain_counts if fig6 else ())
+        for l in chain_counts:
             require(self.users * l >= self.tx_rf_chains + self.users, "rf-chain-rule",
                     f"{self.users}x{l} receive chains cannot separate "
                     f"{self.tx_rf_chains} received plus {self.users} transmitted streams")
@@ -163,7 +158,6 @@ class ExperimentConfig:
         # each backhaul RF stage draws its eigenvectors from the path-space
         # covariance: a fully connected receive stage (fig6 designs one in
         # any case) needs users * L of them, a subarray block its own L
-        fig6 = "fig6" in self.experiments
         eigvecs = [self.tx_rf_chains, self.users]
         if "fully-connected" in self.structures or fig6:
             eigvecs.append(self.users * self.rx_chains_per_subarray)
@@ -176,16 +170,13 @@ class ExperimentConfig:
                 f"{paths} backhaul paths cannot supply {needed} RF-stage eigenvectors")
         require(self.access_clusters * self.access_rays_per_cluster >= self.users,
                 "path-count", "too few access rays to support the user count")
-        require(self.backhaul_distance_m >= 1.0 and self.access_distance_m >= 1.0
-                and self.cee_backhaul_distance_m >= 1.0
+        require(self.backhaul_distance_m >= 1.0 and self.cee_backhaul_distance_m >= 1.0
                 and self.sic_backhaul_distance_m >= 1.0,
                 "ci-reference-distance", "link distances must be >= 1 m")
         require(self.sic_db >= 0.0, "sic-nonnegative", f"got {self.sic_db}")
         require(all(s >= 0.0 for s in self.sigma_e_grid), "sigma-e-nonnegative",
                 f"got {self.sigma_e_grid}")
         require(0.0 <= self.pulse_rolloff <= 1.0, "rolloff-range", f"got {self.pulse_rolloff}")
-        require(self.si_nlos_clusters >= 1 and self.si_nlos_rays >= 1, "positive-counts",
-                "SI NLoS cluster/ray counts must be >= 1")
         for value, allowed, rule in (
             (self.structures, STRUCTURES, "structure-valid"),
             (self.ps_kinds, PS_KINDS, "ps-kind-valid"),
@@ -204,22 +195,22 @@ class ExperimentConfig:
             require(len(grid) > 0, "grids-nonempty", f"{grid_name} is empty")
 
 
-_SECTIONS = {
-    "meta": ("schema_version",),
-    "system": ("subcarriers", "num_taps", "users", "donor_rows", "donor_cols", "iab_rows",
-               "iab_cols", "user_rows", "user_cols", "element_spacing", "tx_rf_chains",
-               "rx_chains_per_subarray", "carrier_hz", "subcarrier_spacing_hz",
-               "backhaul_distance_m", "sic_backhaul_distance_m", "cee_backhaul_distance_m",
-               "access_distance_m", "path_loss_exponent", "panel_separation_wavelengths"),
-    "channel": ("clusters", "rays_per_cluster", "angle_spread_deg", "access_clusters",
-                "access_rays_per_cluster", "access_angle_spread_deg", "pulse_rolloff",
-                "si_rician_db", "si_nlos_clusters", "si_nlos_rays", "sic_db"),
-    "sweep": ("structures", "ps_kinds", "links", "duplexes", "snr_db_grid", "sigma_e_grid",
-              "cee_snrs_db", "cee_ps_kinds", "sic_chain_counts", "sic_snr_db"),
-    "run": ("experiments", "trials", "master_seed", "threads"),
-}
+# each INI section holds the fields declared from its first field up to the
+# next section's first field
+_SECTION_STARTS = {"meta": "schema_version", "system": "subcarriers", "channel": "clusters",
+                   "sweep": "structures", "run": "experiments"}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _sections() -> dict[str, tuple[str, ...]]:
+    names = list(_FIELD_TYPES)
+    starts = [names.index(first) for first in _SECTION_STARTS.values()] + [len(names)]
+    return {section: tuple(names[a:b])
+            for section, a, b in zip(_SECTION_STARTS, starts, starts[1:])}
+
+
+_SECTIONS = _sections()
 
 
 def _parse_value(name: str, raw: str):

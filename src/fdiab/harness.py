@@ -44,7 +44,6 @@ class SweepResult:
     """All sampled rows of one run, sorted for deterministic output."""
 
     rows: list[dict]
-    config: ExperimentConfig
 
     def sort(self) -> None:
         self.rows.sort(key=lambda r: tuple(r[k] for k in SORT_KEYS))
@@ -229,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
             f"{len(failures)} of {len(tasks)} trials failed; first error: "
             f"{failures[0][0]}: {failures[0][1]}")
 
-    result = SweepResult([row for rows, _ in outcomes for row in rows], cfg)
+    result = SweepResult([row for rows, _ in outcomes for row in rows])
     result.sort()
     return result
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, SubarrayPartition, partition_subarrays
+from .arrays import ArrayGeometry, partition_subarrays
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
                       ci_path_loss, perturb_effective_channel, sample_cluster_geometry,
                       si_channel_parts)
@@ -49,13 +49,12 @@ class Scenario:
     iab_tx_geom: ArrayGeometry
     iab_rx_geom: ArrayGeometry
     user_geom: ArrayGeometry
-    donor_partition: SubarrayPartition
-    iab_partition: SubarrayPartition
+    donor_blocks: tuple[range, ...]
+    iab_blocks: tuple[range, ...]
     cluster_cfg: ClusterConfig
     access_cluster_cfg: ClusterConfig
     si_cfg: SiChannelConfig
     backhaul_pl_db: float
-    access_pl_db: float
 
     def snr_point(self, snr_db: float) -> SnrPoint:
         return SnrPoint(snr_db, num_users=self.users, num_subcarriers=self.num_subcarriers)
@@ -95,13 +94,11 @@ def build_scenario(cfg: "ExperimentConfig") -> Scenario:
         num_subcarriers=cfg.subcarriers, users=cfg.users, tx_chains=cfg.tx_rf_chains,
         wavelength=lam, donor_geom=donor, iab_tx_geom=iab_tx, iab_rx_geom=iab_rx,
         user_geom=user,
-        donor_partition=partition_subarrays(donor.num_elements, cfg.tx_rf_chains),
-        iab_partition=partition_subarrays(iab_tx.num_elements, cfg.users),
+        donor_blocks=partition_subarrays(donor.num_elements, cfg.tx_rf_chains),
+        iab_blocks=partition_subarrays(iab_tx.num_elements, cfg.users),
         cluster_cfg=cluster, access_cluster_cfg=access_cluster, si_cfg=si,
         backhaul_pl_db=ci_path_loss(cfg.backhaul_distance_m, cfg.carrier_hz,
-                                    cfg.path_loss_exponent),
-        access_pl_db=ci_path_loss(cfg.access_distance_m, cfg.carrier_hz,
-                                  cfg.path_loss_exponent))
+                                    cfg.path_loss_exponent))
 
 
 @dataclass
@@ -157,7 +154,7 @@ class AccessLinkDesign:
         if structure == "fully-connected":
             blocks = (range(scn.iab_tx_geom.num_elements),) * u
         else:
-            blocks = scn.iab_partition.element_index_sets
+            blocks = scn.iab_blocks
         f_rf = _rf_factored([ch.covariance_factors("tx") for ch in real.access], blocks, 1)
         user_panel = (range(scn.user_geom.num_elements),)
         combiners = [_rf_factored([ch.covariance_factors("rx")], user_panel, 1)
@@ -209,8 +206,8 @@ class BackhaulLinkDesign:
             tx_blocks, n_tx = (range(scn.donor_geom.num_elements),), ns
             rx_blocks, n_rx = (range(scn.iab_rx_geom.num_elements),), m
         else:
-            tx_blocks, n_tx = scn.donor_partition.element_index_sets, 1
-            rx_blocks, n_rx = scn.iab_partition.element_index_sets, chains_per_subarray
+            tx_blocks, n_tx = scn.donor_blocks, 1
+            rx_blocks, n_rx = scn.iab_blocks, chains_per_subarray
         # one core per side, shared by all of that side's blocks
         self.f_rf = _rf_factored([ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx)
         self.w_rf = _rf_factored([ch.covariance_factors("rx")] * len(rx_blocks), rx_blocks, n_rx)
@@ -232,7 +229,7 @@ class BackhaulLinkDesign:
             rx = loss_fully_connected("rx", scn.iab_rx_geom.num_elements, m, losses)
         else:
             tx = loss_subarray("tx", scn.donor_geom.num_elements, scn.tx_chains,
-                               scn.donor_partition.num_subarrays, losses)
+                               len(scn.donor_blocks), losses)
             rx = loss_subarray("iab_rx", scn.iab_rx_geom.num_elements, m, scn.users, losses)
         return tx, rx
 
@@ -262,13 +259,11 @@ class BackhaulLinkDesign:
         # insertion-loss scale as the effective channels
         gram = (rx_b.linear_scale ** 2) * self.noise_gram
         ref = mmse_bb_combiner(desired, None, snr.noise_power, p, noise_gram=gram)
+        rsi_est = rsi_true
         if sigma_e > 0.0:
             if cee_noise is None:
                 raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
-            g_hat = perturb_effective_channel(g_si, sigma_e, cee_noise)
-        else:
-            g_hat = g_si
-        rsi_est = g_hat @ self.access.f_bb
+            rsi_est = perturb_effective_channel(g_si, sigma_e, cee_noise) @ self.access.f_bb
         comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi, noise_gram=gram)
         out = duplex_rates(se_backhaul(desired, comb, snr, rsi_true, p_rsi, gram),
                            se_backhaul(desired, ref, snr, noise_gram=gram))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdiab.arrays import ArrayGeometry, SubarrayPartition, steering_matrix
+from fdiab.arrays import ArrayGeometry, steering_matrix
 from fdiab.channel import (ClusterConfig, ClusterGeometry, PathChannel, SiChannelConfig,
                            _pulse_taps, _rician_weights, _si_nlos_config, _tap_amplitude,
                            as_rng, near_field_los, sample_cluster_geometry)
@@ -105,18 +105,18 @@ def rf_stage_fully_connected(freq: np.ndarray, side: str, n_rf: int) -> np.ndarr
     return rf_from_covariance(sample_covariance(freq, side), n_rf)
 
 
-def rf_stage_subarray(freq: np.ndarray, partition: SubarrayPartition, side: str,
+def rf_stage_subarray(freq: np.ndarray, blocks: tuple[range, ...], side: str,
                       n_rf_per_subarray: int) -> np.ndarray:
     """Block-diagonal unit-modulus RF matrix; block u is the fully connected
-    design of subarray u's sub-channel. Off-block entries are exactly zero."""
-    n = partition.num_elements
+    design of the sub-channel on the elements ``blocks[u]``. Off-block entries
+    are exactly zero."""
+    n = sum(len(block) for block in blocks)
     expected = freq.shape[2] if side == "tx" else freq.shape[1]
     if expected != n:
         raise DimensionError(
             f"partition covers {n} elements but channel has {expected} on the {side} side")
-    u = partition.num_subarrays
-    out = np.zeros((n, u * n_rf_per_subarray), dtype=complex)
-    for b, block in enumerate(partition.element_index_sets):
+    out = np.zeros((n, len(blocks) * n_rf_per_subarray), dtype=complex)
+    for b, block in enumerate(blocks):
         idx = np.asarray(block)
         sub = freq[:, :, idx] if side == "tx" else freq[:, idx, :]
         cols = slice(b * n_rf_per_subarray, (b + 1) * n_rf_per_subarray)

@@ -61,9 +61,9 @@ def test_criterion_1_property_suite(tmp_path):
     assert np.allclose(np.abs(f_rf), 1.0, atol=1e-12)
 
     part = partition_subarrays(16, 4)
-    f_sub = _rf_factored([factors] * 4, part.element_index_sets, 1)
+    f_sub = _rf_factored([factors] * 4, part, 1)
     for col in range(4):
-        off = np.setdiff1d(np.arange(16), np.asarray(part.element_index_sets[col]))
+        off = np.setdiff1d(np.arange(16), np.asarray(part[col]))
         assert np.all(f_sub[off, col] == 0.0)
 
     bb = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))

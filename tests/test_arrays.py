@@ -45,16 +45,15 @@ def test_steering_angle_domain(az, el):
 
 def test_partition_contiguous_blocks():
     part = partition_subarrays(256, 4)
-    assert part.block_size == 64
-    assert [list(b)[:1] + list(b)[-1:] for b in part.element_index_sets] == \
+    assert [list(b)[:1] + list(b)[-1:] for b in part] == \
         [[0, 63], [64, 127], [128, 191], [192, 255]]
     # block sizes all 64, one 4x16 panel per user on a 16x16 array
-    assert all(len(b) == 64 for b in part.element_index_sets)
+    assert all(len(b) == 64 for b in part)
 
 
 def test_partition_degenerate_single_block():
     part = partition_subarrays(64, 1)
-    assert list(part.element_index_sets[0]) == list(range(64))
+    assert list(part[0]) == list(range(64))
 
 
 def test_partition_property_random_sizes():
@@ -63,7 +62,7 @@ def test_partition_property_random_sizes():
         u = int(rng.integers(1, 9))
         n = u * int(rng.integers(1, 33))
         part = partition_subarrays(n, u)
-        covered = sorted(i for b in part.element_index_sets for i in b)
+        covered = sorted(i for b in part for i in b)
         assert covered == list(range(n))
 
 
@@ -102,5 +101,3 @@ def test_geometry_validation():
         ArrayGeometry(0, 4)
     with pytest.raises(ConfigurationError):
         ArrayGeometry(4, 4, spacing=0.0)
-    with pytest.raises(ConfigurationError):
-        ArrayGeometry(4, 4, orientation="sideways")

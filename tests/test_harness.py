@@ -1,6 +1,7 @@
+import configparser
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import fdiab.harness as harness
 from fdiab.config import ExperimentConfig, dump_config, load_config, save_config
@@ -99,7 +100,7 @@ def test_csv_round_trip_six_significant_digits(tmp_path):
 
 def test_write_empty_result_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="empty-result"):
-        write_csv(SweepResult([], TINY), tmp_path / "never.csv")
+        write_csv(SweepResult([]), tmp_path / "never.csv")
 
 
 def test_figure_aggregation_mean_std(tmp_path):
@@ -179,6 +180,7 @@ def test_config_validation_rule_names():
         ("taps-within-cp", replace(TINY, num_taps=64)),
         ("subarray-divisibility", replace(TINY, users=3, tx_rf_chains=3)),
         ("rf-chain-rule", replace(TINY, rx_chains_per_subarray=1, sic_chain_counts=(2,))),
+        ("rf-chain-rule", replace(TINY, sic_chain_counts=(1,))),
         ("ps-kind-valid", replace(TINY, ps_kinds=("ideal", "lossless"))),
         ("structure-valid", replace(TINY, structures=("hybrid",))),
         ("sigma-e-nonnegative", replace(TINY, sigma_e_grid=(-0.1,))),
@@ -195,6 +197,27 @@ def test_config_validation_rule_names():
     for rule, cfg in bad:
         with pytest.raises(ConfigurationError, match=rule):
             cfg.validate()
+
+
+def test_config_checks_fig6_chain_counts_only_when_fig6_runs():
+    # no fig4 design uses the chain counts of the fig6 sweep
+    replace(ExperimentConfig(), experiments=("fig4",), sic_chain_counts=(1,)).validate()
+
+
+def test_config_ini_layout(tmp_path):
+    parser = configparser.ConfigParser()
+    parser.read_string(dump_config(ExperimentConfig()))
+    # every field once, the sections in declaration order
+    assert [key for section in parser.sections() for key in parser[section]] == \
+        [f.name for f in fields(ExperimentConfig)]
+    assert parser.sections() == ["meta", "system", "channel", "sweep", "run"]
+    for key, section in (("panel_separation_wavelengths", "system"), ("sic_db", "channel"),
+                         ("sic_snr_db", "sweep"), ("threads", "run")):
+        assert key in parser[section]
+    path = tmp_path / "cfg.ini"
+    path.write_text("[system]\naccess_distance_m = 30\n")
+    with pytest.raises(ConfigurationError, match="unknown-key"):
+        load_config(path)
 
 
 def test_config_ini_round_trip(tmp_path):

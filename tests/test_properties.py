@@ -1,8 +1,9 @@
-"""Property tests of the designs the sweep runs: RF stages and duplex modes.
+"""Property tests of the designs the sweep runs: RF stages, duplex modes and
+the growth of spectral efficiency with SNR.
 
 Each example draws one small drop with a random seed and geometry, designs
 both links and checks their RF and zero-forcing stages or evaluates them at
-one operating point.
+one operating point or over the SNR grid.
 """
 
 from dataclasses import replace
@@ -69,11 +70,31 @@ def test_duplex_modes_of_production_designs(drop, structure, ps_kind, snr_db, si
     assert fd <= ideal * (1.0 + 1e-12)
 
 
-def _support(partition, n_rf, structure):
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(drop=drops())
+def test_se_non_decreasing_in_snr(drop):
+    cfg, seed = drop
+    scn = build_scenario(cfg)
+    real = draw_realization(scn, _seeder(seed, "property", 0))
+    snrs = [scn.snr_point(snr_db) for snr_db in sorted(cfg.snr_db_grid)]
+    assert (snrs[0].snr_db, snrs[-1].snr_db) == (-10.0, 20.0)
+    for structure in STRUCTURES:
+        access = AccessLinkDesign(scn, real, structure)
+        backhaul = BackhaulLinkDesign(scn, real, access, structure, cfg.rx_chains_per_subarray)
+        for design in (access, backhaul):
+            for ps_kind in PS_KINDS:
+                curves = [design.evaluate(ps_kind, snr) for snr in snrs]
+                for mode in DUPLEX_MODES:
+                    se = [curve[mode].se_bps_hz for curve in curves]
+                    for low, high in zip(se, se[1:]):
+                        assert high >= low * (1.0 - 1e-12), (structure, ps_kind, mode, se)
+
+
+def _support(blocks, n_rf, structure):
     """Where a stage of ``n_rf`` columns per block may be nonzero."""
-    mask = np.full((partition.num_elements, partition.num_subarrays * n_rf),
+    mask = np.full((sum(len(block) for block in blocks), len(blocks) * n_rf),
                    structure == "fully-connected")
-    for b, block in enumerate(partition.element_index_sets):
+    for b, block in enumerate(blocks):
         mask[np.asarray(block), b * n_rf:(b + 1) * n_rf] = True
     return mask
 
@@ -88,9 +109,9 @@ def test_rf_and_zero_forcing_stages_of_production_designs(drop):
     for structure in STRUCTURES:
         access = AccessLinkDesign(scn, real, structure)
         backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
-        for mat, support in ((access.f_rf, _support(scn.iab_partition, 1, structure)),
-                             (backhaul.f_rf, _support(scn.donor_partition, 1, structure)),
-                             (backhaul.w_rf, _support(scn.iab_partition, chains, structure))):
+        for mat, support in ((access.f_rf, _support(scn.iab_blocks, 1, structure)),
+                             (backhaul.f_rf, _support(scn.donor_blocks, 1, structure)),
+                             (backhaul.w_rf, _support(scn.iab_blocks, chains, structure))):
             assert mat.shape == support.shape
             assert np.all(mat[~support] == 0.0)
             assert np.allclose(np.abs(mat[support]), 1.0, rtol=0, atol=1e-12)

@@ -59,15 +59,14 @@ def test_designs_respect_rf_constraints(drop, structure):
 def test_rf_stages_match_dense_oracle(drop, side):
     scn, real = drop
     freq = frequency_response(real.backhaul)
-    partition = scn.donor_partition if side == "tx" else scn.iab_partition
+    blocks = scn.donor_blocks if side == "tx" else scn.iab_blocks
     factors = real.backhaul.covariance_factors(side)
-    panel = (range(partition.num_elements),)
-    blocks = partition.element_index_sets
+    panel = (range(blocks[-1].stop),)
     for n_rf in (1, 2):
         assert np.allclose(_rf_factored([factors], panel, n_rf),
                            rf_stage_fully_connected(freq, side, n_rf), rtol=0, atol=1e-8)
         assert np.allclose(_rf_factored([factors] * len(blocks), blocks, n_rf),
-                           rf_stage_subarray(freq, partition, side, n_rf), rtol=0, atol=1e-8)
+                           rf_stage_subarray(freq, blocks, side, n_rf), rtol=0, atol=1e-8)
     # the access stages as designed: column u of the transmit stage comes from
     # user u's channel, over the whole panel or over subarray u alone
     if side == "tx":
@@ -77,8 +76,8 @@ def test_rf_stages_match_dense_oracle(drop, side):
             freq_u = frequency_response(ch)
             assert np.allclose(fully[:, b], rf_stage_fully_connected(freq_u, "tx", 1)[:, 0],
                                rtol=0, atol=1e-8)
-            idx = np.asarray(scn.iab_partition.element_index_sets[b])
-            dense = rf_stage_subarray(freq_u, scn.iab_partition, "tx", 1)
+            idx = np.asarray(scn.iab_blocks[b])
+            dense = rf_stage_subarray(freq_u, scn.iab_blocks, "tx", 1)
             assert np.allclose(per_user[idx, b], dense[idx, b], rtol=0, atol=1e-8)
     else:
         combiners = AccessLinkDesign(scn, real, "fully-connected").combiners
@@ -91,9 +90,9 @@ def test_subarray_designs_block_diagonal(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "subarray")
     bh = BackhaulLinkDesign(scn, real, access, "subarray", 2)
-    for mat, part in ((access.f_rf, scn.iab_partition), (bh.f_rf, scn.donor_partition)):
+    for mat, blocks in ((access.f_rf, scn.iab_blocks), (bh.f_rf, scn.donor_blocks)):
         for col in range(mat.shape[1]):
-            block = np.asarray(part.element_index_sets[col % part.num_subarrays])
+            block = np.asarray(blocks[col % len(blocks)])
             off = np.setdiff1d(np.arange(mat.shape[0]), block)
             assert np.all(mat[off, col] == 0.0)
 

@@ -76,7 +76,7 @@ def test_subarray_block_diagonal_structure():
     assert f.shape == (256, 4)
     for col in range(4):
         onblock = np.zeros(256, dtype=bool)
-        onblock[np.asarray(part.element_index_sets[col])] = True
+        onblock[np.asarray(part[col])] = True
         assert np.count_nonzero(f[:, col]) == 64
         assert np.all(f[~onblock, col] == 0.0)
         assert np.allclose(np.abs(f[onblock, col]), 1.0, atol=1e-12)
@@ -91,7 +91,7 @@ def test_subarray_structure_random_sizes():
         part = partition_subarrays(n, u)
         w = rf_stage_subarray(freq, part, "rx", 1)
         for col in range(u):
-            idx = np.asarray(part.element_index_sets[col])
+            idx = np.asarray(part[col])
             off = np.setdiff1d(np.arange(n), idx)
             assert np.all(w[off, col] == 0.0)
 
