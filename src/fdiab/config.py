@@ -43,7 +43,6 @@ class ExperimentConfig:
     user_rows: int = 4
     user_cols: int = 16
     element_spacing: float = 0.5
-    tx_rf_chains: int = 4
     rx_chains_per_subarray: int = 2
 
     # carrier and propagation; the backhaul range differs per study: the
@@ -88,6 +87,11 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = 1
     threads: int = 1
+
+    @property
+    def tx_rf_chains(self) -> int:
+        """One transmit chain per downlink stream, and one stream per user."""
+        return self.users
 
     @property
     def donor_elements(self) -> int:
@@ -138,27 +142,25 @@ class ExperimentConfig:
                 f"{self.num_taps} taps exceed {self.subcarriers} subcarriers")
         require(self.iab_elements % self.users == 0, "subarray-divisibility",
                 f"{self.users} users do not divide {self.iab_elements} IAB elements")
-        require(self.donor_elements % self.tx_rf_chains == 0, "subarray-divisibility",
-                f"{self.tx_rf_chains} chains do not divide {self.donor_elements} donor elements")
-        require(self.users == self.tx_rf_chains, "users-vs-chains",
-                f"the downlink serves one stream per user from one chain each: "
-                f"{self.users} users need exactly {self.users} transmit chains, "
-                f"got {self.tx_rf_chains}")
-        require(self.tx_rf_chains <= self.donor_elements, "users-vs-chains",
-                "more donor RF chains than antennas")
+        require(self.donor_elements % self.users == 0, "subarray-divisibility",
+                f"{self.users} users do not divide {self.donor_elements} donor elements")
+        # the receive panel sits beside the transmit panel along the columns
+        require(self.panel_separation_wavelengths > (self.iab_cols - 1) * self.element_spacing,
+                "panel-separation", f"{self.panel_separation_wavelengths} wavelengths do not "
+                f"clear a {self.iab_cols}-column panel at {self.element_spacing} spacing")
         fig6 = "fig6" in self.experiments
         # only fig6 designs with the chain counts of its own sweep
         chain_counts = {self.rx_chains_per_subarray} | set(self.sic_chain_counts if fig6 else ())
         for l in chain_counts:
-            require(self.users * l >= self.tx_rf_chains + self.users, "rf-chain-rule",
+            require(l >= 2, "rf-chain-rule",
                     f"{self.users}x{l} receive chains cannot separate "
-                    f"{self.tx_rf_chains} received plus {self.users} transmitted streams")
+                    f"{self.users} received plus {self.users} transmitted streams")
             require(self.users * l <= self.iab_elements, "rf-chain-rule",
                     "more receive RF chains than IAB antennas")
         # each backhaul RF stage draws its eigenvectors from the path-space
         # covariance: a fully connected receive stage (fig6 designs one in
         # any case) needs users * L of them, a subarray block its own L
-        eigvecs = [self.tx_rf_chains, self.users]
+        eigvecs = [self.users]
         if "fully-connected" in self.structures or fig6:
             eigvecs.append(self.users * self.rx_chains_per_subarray)
         if "subarray" in self.structures:
@@ -174,6 +176,9 @@ class ExperimentConfig:
                 and self.sic_backhaul_distance_m >= 1.0,
                 "ci-reference-distance", "link distances must be >= 1 m")
         require(self.sic_db >= 0.0, "sic-nonnegative", f"got {self.sic_db}")
+        require(self.angle_spread_deg >= 0.0 and self.access_angle_spread_deg >= 0.0,
+                "angle-spread-nonnegative",
+                f"got {self.angle_spread_deg} and {self.access_angle_spread_deg}")
         require(all(s >= 0.0 for s in self.sigma_e_grid), "sigma-e-nonnegative",
                 f"got {self.sigma_e_grid}")
         require(0.0 <= self.pulse_rolloff <= 1.0, "rolloff-range", f"got {self.pulse_rolloff}")

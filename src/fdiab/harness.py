@@ -132,9 +132,8 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
         rows.append(_row("fig6", "subarray", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
                          0.0, chains, "ideal", trial,
                          results["fd_perfect_sic"].se_bps_hz, 0.0))
-    fc_access = AccessLinkDesign(scn, real, "fully-connected")
-    fc = BackhaulLinkDesign(scn, real, fc_access, "fully-connected",
-                            cfg.rx_chains_per_subarray)
+    # the interference-free reference never reads the access link's design
+    fc = BackhaulLinkDesign(scn, real, access, "fully-connected", cfg.rx_chains_per_subarray)
     ideal_fc = fc.evaluate("ideal", snr)
     rows.append(_row("fig6", "fully-connected", "backhaul", "fd_perfect_sic",
                      cfg.sic_snr_db, 0.0, cfg.rx_chains_per_subarray, "ideal", trial,

@@ -9,10 +9,11 @@ of PL_dB minus the applied pre-digital cancellation.
 Thermal noise is referenced at the output of the unscaled (unit-modulus)
 analog combining network: its covariance after the baseband combiner is
 noise_power * W_bb^H (W_rf^H W_rf) W_bb. The receive-side insertion loss
-scales this covariance by the same factor as the signal and interference
-terms, so it cancels in the SINR; transmit-side loss does not. With ideal
-components this reduces to the usual antenna-referenced noise model, which
-keeps full-digital and hybrid schemes comparable.
+would scale this covariance by the same factor as the signal and
+interference terms, so it cancels in the SINR, and the channels passed here
+carry only the transmit-side loss. With ideal components this
+reduces to the usual antenna-referenced noise model, which keeps
+full-digital and hybrid schemes comparable.
 
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
@@ -144,7 +145,7 @@ def se_access(effective_rows: np.ndarray, snr: SnrPoint,
     """Per-user and sum spectral efficiency of the multiuser access downlink.
 
     ``effective_rows`` (K, U, U): entry (u, v) is user u's combined response
-    to stream v, including combiners, precoders, and insertion-loss scaling.
+    to stream v, including combiners, precoders, and transmit-side insertion loss.
     ``noise_scales`` holds each user's post-combining noise gain (the squared
     norm of its unscaled combiner); defaults to 1.
     """

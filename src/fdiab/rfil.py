@@ -9,7 +9,8 @@ for combiners), so the per-path loss in dB is
 
 with P_D = 0.6 dB and P_C = 3.6 dB per stage, and P_PS = -2.3 dB (active)
 or 8.8 dB (passive). The resulting linear amplitude factor 1/sqrt(L_RF)
-multiplies the RF precoder/combiner matrices.
+multiplies a transmit network's RF matrix; a receive network's factor
+cancels against the noise it also scales (see ``fdiab.link``).
 """
 
 from __future__ import annotations
@@ -25,27 +26,6 @@ PS_ACTIVE_DB = -2.3
 PS_PASSIVE_DB = 8.8
 
 PS_KINDS = ("ideal", "active", "passive")
-
-
-@dataclass(frozen=True)
-class RfComponentLosses:
-    """Phase-shifter kind of a network; the ``ideal`` kind zeroes every contribution."""
-
-    ps_kind: str = "passive"
-
-    def __post_init__(self):
-        if self.ps_kind not in PS_KINDS:
-            raise ConfigurationError(f"ps_kind must be one of {PS_KINDS}")
-
-    @property
-    def ps_db(self) -> float:
-        if self.ps_kind == "ideal":
-            return 0.0
-        return PS_ACTIVE_DB if self.ps_kind == "active" else PS_PASSIVE_DB
-
-    @property
-    def ideal(self) -> bool:
-        return self.ps_kind == "ideal"
 
 
 @dataclass(frozen=True)
@@ -67,21 +47,22 @@ def _stages(way: int) -> int:
     return math.ceil(math.log2(way)) if way > 1 else 0
 
 
-def _budget(losses: RfComponentLosses, divider_way: int, combiner_way: int) -> RfilBudget:
-    if losses.ideal:
+def _budget(ps_kind: str, divider_way: int, combiner_way: int) -> RfilBudget:
+    if ps_kind not in PS_KINDS:
+        raise ConfigurationError(f"ps_kind must be one of {PS_KINDS}, got {ps_kind!r}")
+    if ps_kind == "ideal":
         return RfilBudget(0.0, (("ideal", 0, 0.0),))
     items = []
     nd = _stages(divider_way)
     items.append(("power-divider", nd, PD_PER_STAGE_DB * nd))
-    items.append(("phase-shifter", 1, losses.ps_db))
+    items.append(("phase-shifter", 1, PS_ACTIVE_DB if ps_kind == "active" else PS_PASSIVE_DB))
     nc = _stages(combiner_way)
     items.append(("power-combiner", nc, PC_PER_STAGE_DB * nc))
     total = sum(db for _, _, db in items)
     return RfilBudget(total, tuple(items))
 
 
-def loss_fully_connected(side: str, n_ant: int, n_rf: int,
-                         losses: RfComponentLosses) -> RfilBudget:
+def loss_fully_connected(side: str, n_ant: int, n_rf: int, ps_kind: str) -> RfilBudget:
     """Per-path loss of a fully connected stage.
 
     Transmit side: each RF chain feeds an N_ant-way divider, each antenna an
@@ -91,31 +72,18 @@ def loss_fully_connected(side: str, n_ant: int, n_rf: int,
     if n_rf < 1 or n_ant < n_rf:
         raise ConfigurationError(f"need 1 <= n_rf <= n_ant, got n_rf={n_rf}, n_ant={n_ant}")
     if side == "tx":
-        return _budget(losses, n_ant, n_rf)
+        return _budget(ps_kind, n_ant, n_rf)
     if side == "rx":
-        return _budget(losses, n_rf, n_ant)
+        return _budget(ps_kind, n_rf, n_ant)
     raise ConfigurationError("side must be 'tx' or 'rx'")
 
 
 def loss_subarray(side: str, n_ant: int, n_rf: int, num_subarrays: int,
-                  losses: RfComponentLosses) -> RfilBudget:
-    """Per-path loss of a subarray stage.
-
-    tx: U dividers (N_ant/U-way) and one PS per antenna.
-    user_rx: one PS per antenna and a (N_ant/U)-way combiner per subarray.
-    iab_rx: (N_rf/U)-way dividers, PSs, and (N_ant/U)-way combiners.
-    """
-    if num_subarrays < 1 or n_ant % num_subarrays != 0:
-        raise ConfigurationError(
-            f"subarray-divisibility: {num_subarrays} subarrays do not divide {n_ant} antennas")
-    block = n_ant // num_subarrays
-    if side == "tx":
-        return _budget(losses, block, 1)
-    if side == "user_rx":
-        return _budget(losses, 1, block)
-    if side == "iab_rx":
-        if n_rf % num_subarrays != 0:
-            raise ConfigurationError(
-                f"subarray-divisibility: {num_subarrays} subarrays do not divide {n_rf} RF chains")
-        return _budget(losses, n_rf // num_subarrays, block)
-    raise ConfigurationError("side must be 'tx', 'user_rx', or 'iab_rx'")
+                  ps_kind: str) -> RfilBudget:
+    """Per-path loss of a subarray stage: ``num_subarrays`` disjoint fully
+    connected blocks, each joining N_ant/S antennas to N_rf/S chains."""
+    for count, what in ((n_ant, "antennas"), (n_rf, "RF chains")):
+        if num_subarrays < 1 or count % num_subarrays != 0:
+            raise ConfigurationError(f"subarray-divisibility: {num_subarrays} subarrays "
+                                     f"do not divide {count} {what}")
+    return loss_fully_connected(side, n_ant // num_subarrays, n_rf // num_subarrays, ps_kind)

@@ -8,10 +8,13 @@ stages (donor SVD precoding, zero forcing across access users, MMSE
 combining against residual self-interference), and evaluate spectral
 efficiency per phase-shifter kind and SNR point under every duplex mode.
 
-Insertion loss enters as scalar factors on the effective channels; designs
-that are scale invariant (RF stages, SVD, ZF) are computed once per
-structure, while the MMSE combiner is rebuilt per operating point because it
-balances against the fixed noise reference.
+Every transmitter has one RF chain per user, one stream each. Only the
+transmit-side insertion loss enters the rates, as a scalar factor on the
+effective channels: the receive-side loss cancels (see ``fdiab.link``) and
+shows only in the budgets. Designs that are scale invariant (RF stages,
+SVD, ZF) are computed once per structure, while the MMSE combiner is
+rebuilt per operating point because it balances against the fixed noise
+reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelPart
                       si_channel_parts)
 from .errors import ConfigurationError
 from .link import SeResult, SnrPoint, duplex_rates, se_access, se_backhaul
-from .rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
+from .rfil import RfilBudget, loss_fully_connected, loss_subarray
 from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
                           top_eigvecs_factored, zf_bb_precoder)
 
@@ -43,7 +46,6 @@ class Scenario:
 
     num_subcarriers: int
     users: int
-    tx_chains: int
     wavelength: float
     donor_geom: ArrayGeometry
     iab_tx_geom: ArrayGeometry
@@ -91,10 +93,9 @@ def build_scenario(cfg: "ExperimentConfig") -> Scenario:
         rician_factor_db=cfg.si_rician_db, nlos_clusters=cfg.si_nlos_clusters,
         nlos_rays=cfg.si_nlos_rays, pre_digital_sic_db=cfg.sic_db)
     return Scenario(
-        num_subcarriers=cfg.subcarriers, users=cfg.users, tx_chains=cfg.tx_rf_chains,
-        wavelength=lam, donor_geom=donor, iab_tx_geom=iab_tx, iab_rx_geom=iab_rx,
-        user_geom=user,
-        donor_blocks=partition_subarrays(donor.num_elements, cfg.tx_rf_chains),
+        num_subcarriers=cfg.subcarriers, users=cfg.users, wavelength=lam, donor_geom=donor,
+        iab_tx_geom=iab_tx, iab_rx_geom=iab_rx, user_geom=user,
+        donor_blocks=partition_subarrays(donor.num_elements, cfg.users),
         iab_blocks=partition_subarrays(iab_tx.num_elements, cfg.users),
         cluster_cfg=cluster, access_cluster_cfg=access_cluster, si_cfg=si,
         backhaul_pl_db=ci_path_loss(cfg.backhaul_distance_m, cfg.carrier_hz,
@@ -146,10 +147,6 @@ class AccessLinkDesign:
         self.scn = scn
         self.structure = structure
         u = scn.users
-        if scn.tx_chains != u:
-            raise ConfigurationError(
-                "access design assumes one transmit chain per user "
-                f"({scn.tx_chains} chains, {u} users)")
         # one transmit column per user, designed from that user's channel
         if structure == "fully-connected":
             blocks = (range(scn.iab_tx_geom.num_elements),) * u
@@ -168,24 +165,23 @@ class AccessLinkDesign:
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(IAB transmit, user receive) per-path budgets."""
-        losses = RfComponentLosses(ps_kind)
         scn = self.scn
-        n_iab = scn.iab_tx_geom.num_elements
+        n_iab, u = scn.iab_tx_geom.num_elements, scn.users
         if self.structure == "fully-connected":
-            tx = loss_fully_connected("tx", n_iab, scn.tx_chains, losses)
-            user = loss_fully_connected("rx", scn.user_geom.num_elements, 1, losses)
-        else:
-            tx = loss_subarray("tx", n_iab, scn.tx_chains, scn.users, losses)
-            user = loss_subarray("user_rx", n_iab, 1, scn.users, losses)
-        return tx, user
+            return (loss_fully_connected("tx", n_iab, u, ps_kind),
+                    loss_fully_connected("rx", scn.user_geom.num_elements, 1, ps_kind))
+        # known defect: the user side prices the user's combiner over an IAB
+        # subarray of N_iab / U elements, not over the user's own array; the
+        # two agree only when the arrays have equal size, as in the defaults
+        return (loss_subarray("tx", n_iab, u, u, ps_kind),
+                loss_subarray("rx", n_iab, u, u, ps_kind))
 
     def evaluate(self, ps_kind: str, snr: SnrPoint) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point."""
-        tx_b, user_b = self.budgets(ps_kind)
-        g = self.rows0 * (tx_b.linear_scale * user_b.linear_scale)
-        # combiner loss applies to noise and signal alike at the user
-        scales = (user_b.linear_scale ** 2) * self.noise_scales
-        res = se_access(g, snr, scales)
+        # the user's combiner loss scales its signal and noise alike, so only
+        # the transmit-side loss reaches the rate
+        tx_b, _ = self.budgets(ps_kind)
+        res = se_access(self.rows0 * tx_b.linear_scale, snr, self.noise_scales)
         # the users see no self-interference, so full duplex loses nothing
         return duplex_rates(res, res)
 
@@ -199,8 +195,8 @@ class BackhaulLinkDesign:
         self.access = access
         self.structure = structure
         self.chains_per_subarray = chains_per_subarray
-        ns = scn.tx_chains
-        m = scn.users * chains_per_subarray
+        ns = scn.users                                           # one stream per user
+        m = ns * chains_per_subarray
         ch = real.backhaul
         if structure == "fully-connected":
             tx_blocks, n_tx = (range(scn.donor_geom.num_elements),), ns
@@ -217,21 +213,17 @@ class BackhaulLinkDesign:
         self.des0 = eff @ self.f_bb
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
         self.g_si0 = real.si.effective(self.w_rf, access.f_rf)   # (K, M, U)
-        self.num_streams = ns
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
-        losses = RfComponentLosses(ps_kind)
         scn = self.scn
-        m = scn.users * self.chains_per_subarray
+        n_donor, n_iab, u = scn.donor_geom.num_elements, scn.iab_rx_geom.num_elements, scn.users
+        m = u * self.chains_per_subarray
         if self.structure == "fully-connected":
-            tx = loss_fully_connected("tx", scn.donor_geom.num_elements, scn.tx_chains, losses)
-            rx = loss_fully_connected("rx", scn.iab_rx_geom.num_elements, m, losses)
-        else:
-            tx = loss_subarray("tx", scn.donor_geom.num_elements, scn.tx_chains,
-                               len(scn.donor_blocks), losses)
-            rx = loss_subarray("iab_rx", scn.iab_rx_geom.num_elements, m, scn.users, losses)
-        return tx, rx
+            return (loss_fully_connected("tx", n_donor, u, ps_kind),
+                    loss_fully_connected("rx", n_iab, m, ps_kind))
+        return (loss_subarray("tx", n_donor, u, u, ps_kind),
+                loss_subarray("rx", n_iab, m, u, ps_kind))
 
     def evaluate(self, ps_kind: str, snr: SnrPoint, sigma_e: float = 0.0,
                  cee_noise: np.ndarray | None = None,
@@ -247,17 +239,17 @@ class BackhaulLinkDesign:
         where the receiver ignores the interference when combining.
         """
         scn = self.scn
-        tx_b, rx_b = self.budgets(ps_kind)
+        # the receive-side loss scales signal, interference and noise alike
+        # and cancels, so only each transmitter's loss reaches the rate
+        tx_b, _ = self.budgets(ps_kind)
         acc_b, _ = self.access.budgets(ps_kind)
-        desired = self.des0 * (tx_b.linear_scale * rx_b.linear_scale)
-        g_si = self.g_si0 * (acc_b.linear_scale * rx_b.linear_scale)
+        desired = self.des0 * tx_b.linear_scale
+        g_si = self.g_si0 * acc_b.linear_scale
         rsi_true = g_si @ self.access.f_bb
-        p = snr.stream_power(self.num_streams)
-        p_rsi = p * self.num_streams / scn.users * scn.si_power_advantage
-        # noise rides through the lossy combining network together with the
-        # signal, so the combiner-output noise covariance carries the same
-        # insertion-loss scale as the effective channels
-        gram = (rx_b.linear_scale ** 2) * self.noise_gram
+        # the donor and the IAB node each send one stream per user
+        p = snr.stream_power(scn.users)
+        p_rsi = p * scn.si_power_advantage
+        gram = self.noise_gram
         ref = mmse_bb_combiner(desired, None, snr.noise_power, p, noise_gram=gram)
         rsi_est = rsi_true
         if sigma_e > 0.0:
@@ -278,7 +270,7 @@ def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) ->
     Upper-bound reference: no phase-shifter constraint, no insertion loss,
     equal power over the dominant singular modes.
     """
-    ns = scn.tx_chains
+    ns = scn.users
     sigma = real.backhaul.subcarrier_singular_values(ns)
     p = snr.stream_power(ns)
     se_k = np.sum(np.log2(1.0 + p * sigma ** 2 / snr.noise_power), axis=1)

@@ -18,7 +18,7 @@ from fdiab.channel import (ClusterConfig, PathChannel, draw_cee_noise,
 from fdiab.config import ExperimentConfig
 from fdiab.harness import run_experiment, write_csv
 from fdiab.link import SnrPoint, duplex_rates, se_backhaul
-from fdiab.rfil import RfComponentLosses, loss_fully_connected, loss_subarray
+from fdiab.rfil import loss_fully_connected, loss_subarray
 from fdiab.scenario import _rf_factored
 from fdiab.transceiver import mmse_bb_combiner, normalize_power, zf_bb_precoder
 from oracles import WidebandChannel, assemble_delay_taps, to_frequency
@@ -130,8 +130,7 @@ def test_criterion_1_property_suite(tmp_path):
 
 
 def test_criterion_2_rfil_closed_forms():
-    passive = RfComponentLosses("passive")
-    active = RfComponentLosses("active")
+    passive, active = "passive", "active"
     fc_tx = loss_fully_connected("tx", 256, 4, passive).total_db
     sa_tx = loss_subarray("tx", 256, 4, 4, passive).total_db
     assert abs(fc_tx - 20.8) < 1e-12

@@ -175,10 +175,10 @@ def test_programming_error_stops_the_run(monkeypatch):
 
 
 def test_config_validation_rule_names():
-    two_users = replace(TINY, users=2, tx_rf_chains=2)
+    two_users = replace(TINY, users=2)
     bad = [
         ("taps-within-cp", replace(TINY, num_taps=64)),
-        ("subarray-divisibility", replace(TINY, users=3, tx_rf_chains=3)),
+        ("subarray-divisibility", replace(TINY, users=3)),
         ("rf-chain-rule", replace(TINY, rx_chains_per_subarray=1, sic_chain_counts=(2,))),
         ("rf-chain-rule", replace(TINY, sic_chain_counts=(1,))),
         ("ps-kind-valid", replace(TINY, ps_kinds=("ideal", "lossless"))),
@@ -187,6 +187,11 @@ def test_config_validation_rule_names():
         ("ci-reference-distance", replace(TINY, backhaul_distance_m=0.2)),
         ("positive-counts", replace(TINY, trials=0)),
         ("grids-nonempty", replace(TINY, snr_db_grid=())),
+        ("angle-spread-nonnegative", replace(TINY, angle_spread_deg=-5.0)),
+        ("angle-spread-nonnegative", replace(TINY, access_angle_spread_deg=-5.0)),
+        # 1.5 wavelengths put the receive panel's first column on the
+        # transmit panel's last one (4 columns at half-wavelength spacing)
+        ("panel-separation", replace(TINY, panel_separation_wavelengths=1.5)),
         # 12 paths against the 2 x 7 eigenvectors of the fully connected receive stage
         ("path-count", replace(two_users, rx_chains_per_subarray=7, experiments=("fig4",))),
         # 6 paths against fig6's 8 eigenvectors per subarray block
@@ -215,9 +220,11 @@ def test_config_ini_layout(tmp_path):
                          ("sic_snr_db", "sweep"), ("threads", "run")):
         assert key in parser[section]
     path = tmp_path / "cfg.ini"
-    path.write_text("[system]\naccess_distance_m = 30\n")
-    with pytest.raises(ConfigurationError, match="unknown-key"):
-        load_config(path)
+    # settings that no longer exist: the transmit chain count is the user count
+    for key in ("access_distance_m", "tx_rf_chains"):
+        path.write_text(f"[system]\n{key} = 4\n")
+        with pytest.raises(ConfigurationError, match="unknown-key"):
+            load_config(path)
 
 
 def test_config_ini_round_trip(tmp_path):

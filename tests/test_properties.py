@@ -33,9 +33,9 @@ def drops(draw):
     chains = draw(st.integers(2, iab_rows * iab_cols // users))
     donor_rows, donor_cols = draw(st.sampled_from(((2, 2), (2, 4), (4, 4))))
     user_rows, user_cols = draw(st.sampled_from(((1, 2), (2, 2))))
-    cfg = replace(SMALL, users=users, tx_rf_chains=users, iab_rows=iab_rows,
-                  iab_cols=iab_cols, donor_rows=donor_rows, donor_cols=donor_cols,
-                  user_rows=user_rows, user_cols=user_cols, rx_chains_per_subarray=chains,
+    cfg = replace(SMALL, users=users, iab_rows=iab_rows, iab_cols=iab_cols,
+                  donor_rows=donor_rows, donor_cols=donor_cols, user_rows=user_rows,
+                  user_cols=user_cols, rx_chains_per_subarray=chains,
                   sic_chain_counts=(chains,))
     cfg.validate()
     seed = draw(st.integers(0, 2 ** 16))

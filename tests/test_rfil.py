@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from fdiab.errors import ConfigurationError
-from fdiab.rfil import RfComponentLosses, RfilBudget, loss_fully_connected, loss_subarray
+from fdiab.rfil import PS_KINDS, RfilBudget, loss_fully_connected, loss_subarray
 
-PASSIVE = RfComponentLosses("passive")
-ACTIVE = RfComponentLosses("active")
-IDEAL = RfComponentLosses("ideal")
+PASSIVE, ACTIVE, IDEAL = "passive", "active", "ideal"
 
 
 def test_fully_connected_tx_closed_form():
@@ -23,7 +21,7 @@ def test_subarray_tx_closed_form():
 
 def test_iab_rx_subarray_closed_form():
     # 0.6*ceil(log2 2) - 2.3 + 3.6*ceil(log2 64) = 0.6 - 2.3 + 21.6
-    budget = loss_subarray("iab_rx", 256, 8, 4, ACTIVE)
+    budget = loss_subarray("rx", 256, 8, 4, ACTIVE)
     assert abs(budget.total_db - 19.9) < 1e-12
 
 
@@ -49,7 +47,7 @@ def test_breakdown_sums_to_total():
         n_rf = int(rng.integers(1, 9))
         n_ant = n_rf * int(rng.integers(1, 65))
         for kind in ("active", "passive"):
-            b = loss_fully_connected("rx", n_ant, n_rf, RfComponentLosses(kind))
+            b = loss_fully_connected("rx", n_ant, n_rf, kind)
             assert abs(b.total_db - sum(db for _, _, db in b.breakdown)) < 1e-12
 
 
@@ -61,8 +59,8 @@ def test_loss_monotone_in_antenna_count():
 def test_subarray_tx_below_fully_connected_tx():
     for n_t, n_rf, u in ((256, 4, 4), (128, 8, 8), (64, 2, 2)):
         for kind in ("active", "passive"):
-            fc = loss_fully_connected("tx", n_t, n_rf, RfComponentLosses(kind)).total_db
-            sa = loss_subarray("tx", n_t, n_rf, u, RfComponentLosses(kind)).total_db
+            fc = loss_fully_connected("tx", n_t, n_rf, kind).total_db
+            sa = loss_subarray("tx", n_t, n_rf, u, kind).total_db
             assert sa < fc
 
 
@@ -88,8 +86,22 @@ def test_invalid_counts_raise():
     with pytest.raises(ConfigurationError):
         loss_subarray("tx", 10, 1, 3, PASSIVE)
     with pytest.raises(ConfigurationError):
-        loss_subarray("iab_rx", 64, 6, 4, PASSIVE)
+        loss_subarray("rx", 64, 6, 4, PASSIVE)
     with pytest.raises(ConfigurationError):
         loss_fully_connected("sideways", 8, 2, PASSIVE)
     with pytest.raises(ConfigurationError):
-        RfComponentLosses("lossy")
+        loss_fully_connected("tx", 8, 2, "lossy")
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+@pytest.mark.parametrize("kind", PS_KINDS)
+def test_subarray_is_fully_connected_blocks(side, kind):
+    # S disjoint blocks of a antennas and c chains each price one path like
+    # a single fully connected a-antenna, c-chain stage
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s, c = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        a = c * int(rng.integers(1, 33))
+        sub = loss_subarray(side, s * a, s * c, s, kind)
+        fc = loss_fully_connected(side, a, c, kind)
+        assert (sub.total_db, sub.breakdown) == (fc.total_db, fc.breakdown)

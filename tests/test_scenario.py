@@ -50,7 +50,7 @@ def test_designs_respect_rf_constraints(drop, structure):
         assert np.allclose(np.abs(mat[nz]), 1.0, atol=1e-12)
     # power constraint with equality on every subcarrier
     norms = np.linalg.norm(bh.f_rf[None] @ bh.f_bb, axis=(1, 2)) ** 2
-    assert np.allclose(norms, scn.tx_chains, atol=1e-12)
+    assert np.allclose(norms, scn.users, atol=1e-12)
     per_stream = np.linalg.norm(access.f_rf[None] @ access.f_bb, axis=1) ** 2
     assert np.allclose(per_stream, 1.0, atol=1e-12)
 
