@@ -221,6 +221,7 @@ class PathChannel:
         amp = _tap_amplitude(tx_geom.num_elements, rx_geom.num_elements, cfg)
         pulse = _pulse_taps(paths.delays, cfg) * amp
         self.weights = paths.gains[:, None] * np.fft.fft(pulse, n=num_subcarriers, axis=1)
+        self._factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def effective(self, rx_matrix: np.ndarray, tx_matrix: np.ndarray) -> np.ndarray:
         """Per-subcarrier W^H H[k] F, shape (K, W.cols, F.cols)."""
@@ -237,15 +238,21 @@ class PathChannel:
         The covariance is the sample covariance over subcarriers,
         (1/K) sum_k H[k]^H H[k] on the "tx" side and (1/K) sum_k H[k] H[k]^H
         on the "rx" side. The covariance of an element subset of that side
-        takes the matching rows of the basis and the same core.
+        takes the matching rows of the basis and the same core. The factors
+        are computed once per side and shared by every later call, read-only.
         """
-        if side == "tx":
-            s = self.rx_basis.conj().T @ self.rx_basis
-            return self.tx_basis, s * self._weight_gram().conj()
-        if side == "rx":
-            t = self.tx_basis.conj().T @ self.tx_basis
-            return self.rx_basis, t * self._weight_gram()
-        raise ConfigurationError("side must be 'tx' or 'rx'")
+        if side not in self._factors:
+            if side == "tx":
+                basis, other = self.tx_basis, self.rx_basis
+                core = (other.conj().T @ other) * self._weight_gram().conj()
+            elif side == "rx":
+                basis, other = self.rx_basis, self.tx_basis
+                core = (other.conj().T @ other) * self._weight_gram()
+            else:
+                raise ConfigurationError("side must be 'tx' or 'rx'")
+            core.flags.writeable = False
+            self._factors[side] = basis, core
+        return self._factors[side]
 
     def subcarrier_singular_values(self, num_streams: int) -> np.ndarray:
         """Top ``num_streams`` singular values of every H[k], shape (K, n).

@@ -17,6 +17,9 @@ full-digital and hybrid schemes comparable.
 
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
+``se_backhaul`` evaluates any linear backhaul combiner; ``StreamRates``
+gives the rates of the MMSE combiners that need no per-point design in
+closed form from factors computed once per design.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -96,17 +99,25 @@ def duplex_rates(full_duplex: SeResult, interference_free: SeResult) -> dict[str
     return {"fd": full_duplex, "hd": hd, "fd_perfect_sic": interference_free}
 
 
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().transpose(0, 2, 1)
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + _ct(m))
+
+
 def _logdet_ratio(q: np.ndarray, boost: np.ndarray, noise_floor: float):
     """log2 det(q + boost) - log2 det(q) with a flagged ridge for singular q."""
-    herm = lambda m: 0.5 * (m + m.conj().transpose(0, 2, 1))
-    q = herm(q)
+    q = _herm(q)
     ns = q.shape[1]
     eye = np.eye(ns)
     bad = np.linalg.eigvalsh(q)[:, 0] <= noise_floor * 1e-12
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
         q = q + (noise_floor * 1e-6) * bad[:, None, None] * eye
-    sign_a, logdet_a = np.linalg.slogdet(herm(q + boost))
+    sign_a, logdet_a = np.linalg.slogdet(_herm(q + boost))
     sign_b, logdet_b = np.linalg.slogdet(q)
     se_k = (logdet_a - logdet_b) / np.log(2.0)
     return np.maximum(se_k, 0.0), n_bad
@@ -138,6 +149,100 @@ def se_backhaul(desired: np.ndarray, combiner: np.ndarray, snr: SnrPoint,
     boost = snr.stream_power(ns) * g @ g.conj().transpose(0, 2, 1)
     se_k, n_bad = _logdet_ratio(q, boost, snr.noise_power)
     return SeResult(float(np.mean(se_k)), per_subcarrier=se_k, regularized_subcarriers=n_bad)
+
+
+def _rate_from_nats(nats: np.ndarray) -> SeResult:
+    se_k = nats / np.log(2.0)
+    return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)
+
+
+def _split_factors(signal: np.ndarray, interference: np.ndarray):
+    """Factors of signal^H (I + b Z Z^H)^{-1} signal for any b, Z = ``interference``.
+
+    QR-factoring [Z | signal] = Q [[R11, R12], [0, R22]] splits the space
+    into span(Z) and its complement (Golub and Van Loan, *Matrix
+    Computations*, ch. 5). With R11 = W diag(sqrt(lam)) V^H and F = R12^H W,
+
+        signal^H (I + b Z Z^H)^{-1} signal = R22^H R22 + F diag(1 / (1 + b lam)) F^H,
+
+    a sum of positive terms that stays accurate however large b is. Returns
+    (R22^H R22, F, lam).
+    """
+    ni = interference.shape[2]
+    r = np.linalg.qr(np.concatenate([interference, signal], axis=2), mode="r")
+    r11, r12, r22 = r[:, :ni, :ni], r[:, :ni, ni:], r[:, ni:, ni:]
+    w, s, _ = np.linalg.svd(r11)
+    return _ct(r22) @ r22, _ct(r12) @ w, s ** 2
+
+
+class StreamRates:
+    """Backhaul rates in the N_s-dimensional stream space, for every operating point.
+
+    ``desired`` A (K, M, N_s) and ``interference`` B (K, M, N_i) are the
+    effective channels including their baseband precoders but no insertion
+    loss, ``noise_gram`` G (M, M) the shape of the noise covariance. An
+    operating point enters only through two scalars: ``a`` = p_s s_tx^2 / n
+    and ``b`` = p_i s_i^2 / n, with p_s and p_i the per-stream powers, s_tx
+    and s_i the transmit-side amplitude scales of the desired and
+    interfering links, and n the noise power.
+
+    The factors are computed once, after whitening by the Cholesky factor L
+    of G (A_w = L^{-1} A, B_w = L^{-1} B). A combiner whose columns span
+    R^{-1} A, with R the covariance it balances against, loses no
+    information (Tse and Viswanath, *Fundamentals of Wireless
+    Communication*, sec. 8.3), so each rate is
+
+        log2 det(I + a Y^H (I + b Z Z^H)^{-1} Y)
+
+    for the whitened signal Y and interference Z that the combiner sees.
+    """
+
+    def __init__(self, desired: np.ndarray, interference: np.ndarray,
+                 noise_gram: np.ndarray):
+        _, m, ns = desired.shape
+        ni = interference.shape[2]
+        self.shape = (m, ns, ni)
+        chol = np.linalg.cholesky(noise_gram)
+        white = np.linalg.solve(chol, np.concatenate([interference, desired], axis=2))
+        # coordinates of B_w and A_w in an orthonormal basis of their joint span
+        r = np.linalg.qr(white, mode="r")
+        b_r, a_r = r[:, :, :ni], r[:, :, ni:]
+        # the interference-blind combiner spans G^{-1} A, that is span(A_w):
+        # in an orthonormal basis of it (a_r = Q_a R_a) it sees Y = R_a and
+        # Z = Q_a^H b_r
+        q_a, r_a = np.linalg.qr(a_r)
+        self.signal_eigs = np.linalg.svd(r_a, compute_uv=False) ** 2
+        self.blind = _split_factors(r_a, _ct(q_a) @ b_r)
+        # the interference-aware combiner sees Y = A_w and Z = B_w; with fewer
+        # than N_s + N_i chains the interference is not separable
+        self.aware = _split_factors(a_r, b_r) if m >= ns + ni else None
+
+    def _combined_rate(self, factors, a: float, b: float) -> SeResult:
+        base, f, lam = factors
+        inner = base + (f / (1.0 + b * lam)[:, None, :]) @ _ct(f)
+        _, logdet = np.linalg.slogdet(np.eye(self.shape[1]) + a * _herm(inner))
+        return _rate_from_nats(logdet)
+
+    def interference_free(self, a: float) -> SeResult:
+        """log2 det(I + a A^H G^{-1} A), the rate without interference."""
+        return _rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
+
+    def full_duplex(self, a: float, b: float) -> SeResult:
+        """Rate of the MMSE combiner that knows the true interference covariance.
+
+        It needs at least N_s + N_i receive chains for the cancellation to
+        have full effect; fewer chains raise a configuration error.
+        """
+        if self.aware is None:
+            m, ns, ni = self.shape
+            raise ConfigurationError(
+                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
+                f"plus {ni} interfering streams")
+        return self._combined_rate(self.aware, a, b)
+
+    def interference_blind(self, a: float, b: float) -> SeResult:
+        """Rate of the MMSE combiner designed as if there were no interference."""
+        return self._combined_rate(self.blind, a, b)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,

@@ -12,9 +12,12 @@ Every transmitter has one RF chain per user, one stream each. Only the
 transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
 shows only in the budgets. Designs that are scale invariant (RF stages,
-SVD, ZF) are computed once per structure, while the MMSE combiner is
-rebuilt per operating point because it balances against the fixed noise
-reference.
+SVD, ZF) are computed once per structure. So are the factors of the
+backhaul's ``StreamRates``: an MMSE combiner that knows the true
+interference loses no information, so its rate, and that of the
+interference-blind combiner, follow in closed form from two scalars per
+operating point. Only a combiner designed from an erroneous interference
+estimate (sigma_e > 0) is rebuilt per operating point.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelPart
                       ci_path_loss, perturb_effective_channel, sample_cluster_geometry,
                       si_channel_parts)
 from .errors import ConfigurationError
-from .link import SeResult, SnrPoint, duplex_rates, se_access, se_backhaul
+from .link import SeResult, SnrPoint, StreamRates, duplex_rates, se_access, se_backhaul
 from .rfil import RfilBudget, loss_fully_connected, loss_subarray
 from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
                           top_eigvecs_factored, zf_bb_precoder)
@@ -213,6 +216,7 @@ class BackhaulLinkDesign:
         self.des0 = eff @ self.f_bb
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
         self.g_si0 = real.si.effective(self.w_rf, access.f_rf)   # (K, M, U)
+        self.rates = StreamRates(self.des0, self.g_si0 @ access.f_bb, self.noise_gram)
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
@@ -232,35 +236,40 @@ class BackhaulLinkDesign:
 
         The full-duplex combiner is designed from the estimated effective SI
         channel (exact when sigma_e = 0) and always judged against the true
-        one; ``fd_perfect_sic`` and ``hd`` share the interference-free MMSE
-        combiner. ``cee_noise`` supplies the unit-variance estimation-error
-        draw so sweeps over sigma_e reuse a common realization; required
-        when sigma_e > 0. ``include_no_dsic`` adds an ``fd_no_dsic`` entry
-        where the receiver ignores the interference when combining.
+        one. With sigma_e = 0 it is the lossless MMSE combiner, and its rate,
+        like ``fd_perfect_sic`` and ``hd`` at every sigma_e, comes in closed
+        form from the design's ``StreamRates``. With sigma_e > 0 the
+        mismatched combiner is built and judged per operating point;
+        ``cee_noise`` supplies the unit-variance estimation-error draw so
+        sweeps over sigma_e reuse a common realization. ``include_no_dsic``
+        adds an ``fd_no_dsic`` entry where the receiver ignores the
+        interference when combining.
         """
         scn = self.scn
         # the receive-side loss scales signal, interference and noise alike
         # and cancels, so only each transmitter's loss reaches the rate
-        tx_b, _ = self.budgets(ps_kind)
-        acc_b, _ = self.access.budgets(ps_kind)
-        desired = self.des0 * tx_b.linear_scale
-        g_si = self.g_si0 * acc_b.linear_scale
-        rsi_true = g_si @ self.access.f_bb
+        tx_scale = self.budgets(ps_kind)[0].linear_scale
+        acc_scale = self.access.budgets(ps_kind)[0].linear_scale
         # the donor and the IAB node each send one stream per user
         p = snr.stream_power(scn.users)
         p_rsi = p * scn.si_power_advantage
-        gram = self.noise_gram
-        ref = mmse_bb_combiner(desired, None, snr.noise_power, p, noise_gram=gram)
-        rsi_est = rsi_true
+        a = p * tx_scale ** 2 / snr.noise_power
+        b = p_rsi * acc_scale ** 2 / snr.noise_power
         if sigma_e > 0.0:
             if cee_noise is None:
                 raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
+            desired = self.des0 * tx_scale
+            g_si = self.g_si0 * acc_scale
             rsi_est = perturb_effective_channel(g_si, sigma_e, cee_noise) @ self.access.f_bb
-        comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi, noise_gram=gram)
-        out = duplex_rates(se_backhaul(desired, comb, snr, rsi_true, p_rsi, gram),
-                           se_backhaul(desired, ref, snr, noise_gram=gram))
+            comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi,
+                                    noise_gram=self.noise_gram)
+            fd = se_backhaul(desired, comb, snr, g_si @ self.access.f_bb, p_rsi,
+                             self.noise_gram)
+        else:
+            fd = self.rates.full_duplex(a, b)
+        out = duplex_rates(fd, self.rates.interference_free(a))
         if include_no_dsic:
-            out["fd_no_dsic"] = se_backhaul(desired, ref, snr, rsi_true, p_rsi, gram)
+            out["fd_no_dsic"] = self.rates.interference_blind(a, b)
         return out
 
 

@@ -25,6 +25,9 @@ from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
 # largest per-subcarrier condition number zero forcing accepts
 ZF_COND_LIMIT = 1e8
 
+# subcarriers per block when normalize_power forms the coupled precoder
+_NORM_BLOCK = 64
+
 
 def _fix_column_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each column so its first significant entry is real positive.
@@ -143,13 +146,20 @@ def normalize_power(rf_precoder: np.ndarray, bb_precoder: np.ndarray, num_stream
     power num_streams / N_s-columns individually (equal allocation across
     streams); otherwise one global factor per subcarrier is used.
     """
-    coupled = rf_precoder[None, :, :] @ bb_precoder
+    # the coupled (K, N, N_s) precoder is formed in blocks of subcarriers: it
+    # is the largest transient of a design, and each norm is per subcarrier
+    def coupled_norms(**norm_args):
+        return np.concatenate([
+            np.linalg.norm(rf_precoder[None, :, :] @ bb_precoder[k:k + _NORM_BLOCK],
+                           **norm_args)
+            for k in range(0, len(bb_precoder), _NORM_BLOCK)])
+
     if equal_streams:
-        norms = np.linalg.norm(coupled, axis=1, keepdims=True)   # (K, 1, N_s)
+        norms = coupled_norms(axis=1, keepdims=True)             # (K, 1, N_s)
         if np.any(norms == 0):
             raise DegenerateInputError("coupled precoder has a zero column")
-        return bb_precoder * (np.sqrt(num_streams / coupled.shape[2]) / norms)
-    norms = np.linalg.norm(coupled, axis=(1, 2))
+        return bb_precoder * (np.sqrt(num_streams / bb_precoder.shape[2]) / norms)
+    norms = coupled_norms(axis=(1, 2))
     if np.any(norms == 0):
         raise DegenerateInputError("coupled precoder is zero on some subcarrier")
     return bb_precoder * (np.sqrt(num_streams) / norms)[:, None, None]

@@ -192,6 +192,23 @@ def test_path_channel_matches_dense_assembly():
     assert np.allclose(sv, ref_sv, atol=1e-9)
 
 
+def test_covariance_factors_computed_once_per_side():
+    cfg = small_cfg()
+    tx, rx = ArrayGeometry(2, 3), ArrayGeometry(2, 2)
+    paths = sample_cluster_geometry(cfg, 4)
+    pc = PathChannel(paths, tx, rx, cfg, 16)
+    first = {side: pc.covariance_factors(side) for side in ("tx", "rx")}
+    for side, (basis, core) in first.items():
+        again = pc.covariance_factors(side)
+        assert again[0] is basis and again[1] is core
+        assert not core.flags.writeable
+        fresh = PathChannel(paths, tx, rx, cfg, 16).covariance_factors(side)
+        assert np.array_equal(fresh[0], basis) and np.array_equal(fresh[1], core)
+    assert first["tx"][0] is pc.tx_basis and first["rx"][0] is pc.rx_basis
+    with pytest.raises(ConfigurationError):
+        pc.covariance_factors("both")
+
+
 @pytest.mark.filterwarnings("ignore:panel separation")
 def test_near_field_los_hand_values():
     lam = 0.01

@@ -1,5 +1,5 @@
-"""Property tests of the designs the sweep runs: RF stages, duplex modes and
-the growth of spectral efficiency with SNR.
+"""Property tests of the designs the sweep runs: RF stages, duplex modes, the
+growth of spectral efficiency with SNR and the closed-form backhaul rates.
 
 Each example draws one small drop with a random seed and geometry, designs
 both links and checks their RF and zero-forcing stages or evaluates them at
@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from fdiab.channel import draw_cee_noise
 from fdiab.config import PS_KINDS, STRUCTURES, ExperimentConfig
 from fdiab.harness import _seeder
-from fdiab.link import DUPLEX_MODES
+from fdiab.link import DUPLEX_MODES, se_backhaul
 from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, build_scenario,
                             draw_realization)
+from fdiab.transceiver import mmse_bb_combiner
 
 # 16 backhaul paths: enough for every receive-chain count on a 16-element panel
 SMALL = replace(
@@ -88,6 +89,40 @@ def test_se_non_decreasing_in_snr(drop):
                     se = [curve[mode].se_bps_hz for curve in curves]
                     for low, high in zip(se, se[1:]):
                         assert high >= low * (1.0 - 1e-12), (structure, ps_kind, mode, se)
+
+
+def _general_rates(backhaul, ps_kind, snr):
+    """fd, fd_perfect_sic and fd_no_dsic through explicit MMSE combiners."""
+    scn, access = backhaul.scn, backhaul.access
+    desired = backhaul.des0 * backhaul.budgets(ps_kind)[0].linear_scale
+    rsi = backhaul.g_si0 * access.budgets(ps_kind)[0].linear_scale @ access.f_bb
+    p = snr.stream_power(scn.users)
+    p_rsi = p * scn.si_power_advantage
+    gram = backhaul.noise_gram
+    aware = mmse_bb_combiner(desired, rsi, snr.noise_power, p, p_rsi, noise_gram=gram)
+    blind = mmse_bb_combiner(desired, None, snr.noise_power, p, noise_gram=gram)
+    return {"fd": se_backhaul(desired, aware, snr, rsi, p_rsi, gram),
+            "fd_perfect_sic": se_backhaul(desired, blind, snr, noise_gram=gram),
+            "fd_no_dsic": se_backhaul(desired, blind, snr, rsi, p_rsi, gram)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(drop=drops(), structure=st.sampled_from(STRUCTURES),
+       ps_kind=st.sampled_from(PS_KINDS), snr_db=st.sampled_from((-10.0, 5.0, 20.0)))
+def test_closed_form_rates_match_general_combiner_path(drop, structure, ps_kind, snr_db):
+    cfg, seed = drop
+    scn = build_scenario(cfg)
+    real = draw_realization(scn, _seeder(seed, "property", 0))
+    access = AccessLinkDesign(scn, real, structure)
+    backhaul = BackhaulLinkDesign(scn, real, access, structure, cfg.rx_chains_per_subarray)
+    snr = scn.snr_point(snr_db)
+    closed = backhaul.evaluate(ps_kind, snr, include_no_dsic=True)
+    general = _general_rates(backhaul, ps_kind, snr)
+    # the general path itself is off by up to 1e-11 on the blind combiner's rate
+    for mode, rel in (("fd", 1e-12), ("fd_perfect_sic", 1e-12), ("fd_no_dsic", 1e-10)):
+        want, got = general[mode].se_bps_hz, closed[mode].se_bps_hz
+        assert general[mode].regularized_subcarriers == 0
+        assert abs(got - want) <= rel * want, (mode, got, want)
 
 
 def _support(blocks, n_rf, structure):

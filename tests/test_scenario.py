@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from fdiab.config import ExperimentConfig
+from fdiab.config import STRUCTURES, ExperimentConfig
+from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
 from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, _rf_factored,
                             build_scenario, draw_realization, full_digital_backhaul_se)
@@ -188,3 +190,60 @@ def test_more_receive_chains_never_hurt_with_dsic(drop):
         bh = BackhaulLinkDesign(scn, real, access, "subarray", chains)
         ses.append(bh.evaluate("ideal", snr)["fd"].se_bps_hz)
     assert ses[0] <= ses[1] + 1e-9 and ses[1] <= ses[2] + 1e-9
+
+
+def _mp(a):
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def _mp_rate(desired, interference_cov, combiner, a):
+    """log2 of det(C^H (R + a A A^H) C) / det(C^H R C): the combiner's rate."""
+    ch = combiner.H
+    total = interference_cov + a * desired * desired.H
+    ratio = mpmath.det(ch * total * combiner) / mpmath.det(ch * interference_cov * combiner)
+    return mpmath.log(mpmath.re(ratio), 2)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_closed_form_rates_match_extended_precision_oracle(structure):
+    # fig5's backhaul distance: the interference arrives about 2e13 times
+    # stronger than the desired signal per stream, and the rates rest on
+    # its null space
+    scn = build_scenario(replace(SMALL, backhaul_distance_m=SMALL.cee_backhaul_distance_m))
+    real = draw_realization(scn, _seeder(1, "test", 0))
+    access = AccessLinkDesign(scn, real, structure)
+    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+    snr = scn.snr_point(20.0)
+    out = bh.evaluate("active", snr, include_no_dsic=True)
+    p = snr.stream_power(scn.users)
+    with mpmath.workdps(40):
+        n = mpmath.mpf(snr.noise_power)
+        a = mpmath.mpf(p) * mpmath.mpf(bh.budgets("active")[0].linear_scale) ** 2 / n
+        b = (mpmath.mpf(p) * mpmath.mpf(scn.si_power_advantage)
+             * mpmath.mpf(access.budgets("active")[0].linear_scale) ** 2 / n)
+        gram = _mp(bh.noise_gram)
+        for k in range(scn.num_subcarriers):
+            desired = _mp(bh.des0[k])
+            rsi = _mp(bh.g_si0[k]) * _mp(access.f_bb[k])
+            interference = gram + b * rsi * rsi.H
+            aware = mpmath.inverse(interference + a * desired * desired.H) * desired
+            blind = mpmath.inverse(gram + a * desired * desired.H) * desired
+            want = {"fd": _mp_rate(desired, interference, aware, a),
+                    "fd_perfect_sic": _mp_rate(desired, gram, blind, a),
+                    "fd_no_dsic": _mp_rate(desired, interference, blind, a)}
+            for mode, rel in (("fd", 1e-13), ("fd_perfect_sic", 1e-13), ("fd_no_dsic", 1e-11)):
+                got = out[mode].per_subcarrier[k]
+                assert abs(got - want[mode]) <= rel * abs(want[mode]), (mode, k, got, want[mode])
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("sigma_e", [0.0, 0.1])
+def test_too_few_receive_chains_rejected_at_evaluation(drop, structure, sigma_e):
+    # one chain per subarray: M = U receive chains for U desired plus U
+    # interfering streams
+    scn, real = drop
+    access = AccessLinkDesign(scn, real, structure)
+    bh = BackhaulLinkDesign(scn, real, access, structure, 1)
+    cee = np.ones((scn.num_subcarriers, scn.users, scn.users), dtype=complex)
+    with pytest.raises(ConfigurationError, match="rf-chain-rule"):
+        bh.evaluate("ideal", scn.snr_point(10.0), sigma_e=sigma_e, cee_noise=cee)
