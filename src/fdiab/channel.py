@@ -356,13 +356,20 @@ def draw_cee_noise(rng_seed, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def perturb_effective_channel(g: np.ndarray, sigma_e: float, noise: np.ndarray) -> np.ndarray:
-    """Estimated effective channel (K, M, N): truth minus a scaled error draw.
+def estimation_error(g: np.ndarray, sigma_e: float, noise: np.ndarray) -> np.ndarray:
+    """Error of the estimated effective channel g (K, M, N).
 
     The error on subcarrier k is sigma_e times the RMS entry magnitude of
     g[k] times ``noise[k]``, a unit-variance draw (:func:`draw_cee_noise`),
-    so sigma_e is scale free. The true channel is the returned estimate plus
-    the error.
+    so sigma_e is scale free.
     """
     rms = np.sqrt(np.mean(np.abs(g) ** 2, axis=(1, 2)))
-    return g - sigma_e * rms[:, None, None] * noise
+    return sigma_e * rms[:, None, None] * noise
+
+
+def perturb_effective_channel(g: np.ndarray, sigma_e: float, noise: np.ndarray) -> np.ndarray:
+    """Estimated effective channel (K, M, N): truth minus :func:`estimation_error`.
+
+    The true channel is the returned estimate plus the error.
+    """
+    return g - estimation_error(g, sigma_e, noise)

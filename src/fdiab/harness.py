@@ -102,13 +102,13 @@ def _trial_fig5(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
         backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
         cee_noise = draw_cee_noise(seeder(f"cee/{structure}"),
                                    (cfg.subcarriers, m, cfg.users))
-        for ps_kind in cfg.cee_ps_kinds:
-            bh_tx, bh_rx = backhaul.budgets(ps_kind)
-            rfil_db = bh_tx.total_db + bh_rx.total_db
-            for snr_db in cfg.cee_snrs_db:
-                snr = scn.snr_point(snr_db)
-                for sigma_e in cfg.sigma_e_grid:
-                    results = backhaul.evaluate(ps_kind, snr, sigma_e, cee_noise)
+        for sigma_e in cfg.sigma_e_grid:
+            combiner = backhaul.combiner(sigma_e, cee_noise)
+            for ps_kind in cfg.cee_ps_kinds:
+                bh_tx, bh_rx = backhaul.budgets(ps_kind)
+                rfil_db = bh_tx.total_db + bh_rx.total_db
+                for snr_db in cfg.cee_snrs_db:
+                    results = backhaul.evaluate(ps_kind, scn.snr_point(snr_db), combiner)
                     for duplex in ("fd", "hd"):
                         rows.append(_row("fig5", structure, "backhaul", duplex, snr_db,
                                          sigma_e, chains, ps_kind, trial,

@@ -18,8 +18,8 @@ full-digital and hybrid schemes comparable.
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
 ``se_backhaul`` evaluates any linear backhaul combiner; ``StreamRates``
-gives the rates of the MMSE combiners that need no per-point design in
-closed form from factors computed once per design.
+gives the rates of the backhaul's MMSE combiners in closed form from
+factors computed once per design and once per interference estimate.
 """
 
 from __future__ import annotations
@@ -156,23 +156,51 @@ def _rate_from_nats(nats: np.ndarray) -> SeResult:
     return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)
 
 
-def _split_factors(signal: np.ndarray, interference: np.ndarray):
-    """Factors of signal^H (I + b Z Z^H)^{-1} signal for any b, Z = ``interference``.
+@dataclass(frozen=True)
+class CombinerFactors:
+    """Stream-space factors of one MMSE combiner; see ``_split_factors``.
 
-    QR-factoring [Z | signal] = Q [[R11, R12], [0, R22]] splits the space
-    into span(Z) and its complement (Golub and Van Loan, *Matrix
-    Computations*, ch. 5). With R11 = W diag(sqrt(lam)) V^H and F = R12^H W,
-
-        signal^H (I + b Z Z^H)^{-1} signal = R22^H R22 + F diag(1 / (1 + b lam)) F^H,
-
-    a sum of positive terms that stays accurate however large b is. Returns
-    (R22^H R22, F, lam).
+    ``truth`` is None for a combiner designed from the true interference.
     """
-    ni = interference.shape[2]
-    r = np.linalg.qr(np.concatenate([interference, signal], axis=2), mode="r")
-    r11, r12, r22 = r[:, :ni, :ni], r[:, :ni, ni:], r[:, ni:, ni:]
+
+    r22: np.ndarray
+    f: np.ndarray
+    lam: np.ndarray
+    truth: np.ndarray | None = None
+
+
+def _split_factors(signal: np.ndarray, estimate: np.ndarray,
+                   error: np.ndarray | None = None) -> CombinerFactors:
+    """Factors of the combiner (I + b Z Z^H)^{-1} Y for any b, Z = ``estimate``.
+
+    That is the MMSE combiner for the signal Y = ``signal`` in white noise,
+    designed from the interference estimate Z, whose error E = ``error``
+    makes the true interference Z + E (exactly Z without it). QR-factoring
+    [Z | Y | E] = Q [[R11, R12, R13], [0, R22, R23], ...] splits the space
+    into span(Z), the rest of span(Z, Y) and the rest (Golub and Van Loan,
+    *Matrix Computations*, ch. 5). With R11 = W diag(sqrt(lam)) V^H,
+    F = R12^H W and d = 1 / (1 + b lam), the combiner has the coordinates
+    V = [diag(d) F^H; R22] in the first two blocks (the first rotated by W)
+    and none in the rest, and its signal term is
+
+        T = Y^H (I + b Z Z^H)^{-1} Y = R22^H R22 + F diag(d) F^H,
+
+    a sum of positive terms that stays accurate however large b is. In the
+    same basis the true interference has the coordinates
+    ``truth`` = [W^H (R11 + R13); R23], so E enters as itself and never as a
+    difference of large terms.
+    Z may be zero: a combiner blind to the interference.
+    """
+    ni, ns = estimate.shape[2], signal.shape[2]
+    blocks = [estimate, signal] if error is None else [estimate, signal, error]
+    r = np.linalg.qr(np.concatenate(blocks, axis=2), mode="r")
+    r11, r12, r22 = r[:, :ni, :ni], r[:, :ni, ni:ni + ns], r[:, ni:ni + ns, ni:ni + ns]
     w, s, _ = np.linalg.svd(r11)
-    return _ct(r22) @ r22, _ct(r12) @ w, s ** 2
+    truth = None
+    if error is not None:
+        truth = np.concatenate([_ct(w) @ (r11 + r[:, :ni, ni + ns:]),
+                                r[:, ni:ni + ns, ni + ns:]], axis=1)
+    return CombinerFactors(r22, _ct(r12) @ w, s ** 2, truth)
 
 
 class StreamRates:
@@ -186,15 +214,21 @@ class StreamRates:
     and s_i the transmit-side amplitude scales of the desired and
     interfering links, and n the noise power.
 
-    The factors are computed once, after whitening by the Cholesky factor L
-    of G (A_w = L^{-1} A, B_w = L^{-1} B). A combiner whose columns span
-    R^{-1} A, with R the covariance it balances against, loses no
+    Every factor is computed after whitening by the Cholesky factor L of G
+    (A_w = L^{-1} A, B_w = L^{-1} B): the interference-free rate and the
+    combiner that knows B once per design, a combiner designed from an
+    estimate of B once per estimate (``combiner``). A combiner whose columns
+    span R^{-1} A, with R the covariance it balances against, loses no
     information (Tse and Viswanath, *Fundamentals of Wireless
-    Communication*, sec. 8.3), so each rate is
+    Communication*, sec. 8.3). For a combiner with coordinates V that sees
+    the signal term T and the true interference through E = V^H (B_w's
+    coordinates), the rate is
 
-        log2 det(I + a Y^H (I + b Z Z^H)^{-1} Y)
+        log2 det(I + a T X^{-1} T),  X = V^H V + b E E^H,
 
-    for the whitened signal Y and interference Z that the combiner sees.
+    with X taken as R_x^H R_x from a QR of the stacked [V; sqrt(b) E^H], so
+    its spread of eigenvalues is never formed. For the combiner that knows
+    B, X = T and the rate is log2 det(I + a T).
     """
 
     def __init__(self, desired: np.ndarray, interference: np.ndarray,
@@ -202,47 +236,72 @@ class StreamRates:
         _, m, ns = desired.shape
         ni = interference.shape[2]
         self.shape = (m, ns, ni)
-        chol = np.linalg.cholesky(noise_gram)
-        white = np.linalg.solve(chol, np.concatenate([interference, desired], axis=2))
+        self._desired, self._interference = desired, interference
+        self._chol = np.linalg.cholesky(noise_gram)
+        white = np.linalg.solve(self._chol, np.concatenate([interference, desired], axis=2))
         # coordinates of B_w and A_w in an orthonormal basis of their joint span
         r = np.linalg.qr(white, mode="r")
-        b_r, a_r = r[:, :, :ni], r[:, :, ni:]
-        # the interference-blind combiner spans G^{-1} A, that is span(A_w):
-        # in an orthonormal basis of it (a_r = Q_a R_a) it sees Y = R_a and
-        # Z = Q_a^H b_r
-        q_a, r_a = np.linalg.qr(a_r)
+        self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
+        r_a = np.linalg.qr(self._a_r, mode="r")
         self.signal_eigs = np.linalg.svd(r_a, compute_uv=False) ** 2
-        self.blind = _split_factors(r_a, _ct(q_a) @ b_r)
-        # the interference-aware combiner sees Y = A_w and Z = B_w; with fewer
-        # than N_s + N_i chains the interference is not separable
-        self.aware = _split_factors(a_r, b_r) if m >= ns + ni else None
+        # with fewer than N_s + N_i chains the interference is not separable
+        self.aware = _split_factors(self._a_r, self._b_r) if m >= ns + ni else None
 
-    def _combined_rate(self, factors, a: float, b: float) -> SeResult:
-        base, f, lam = factors
-        inner = base + (f / (1.0 + b * lam)[:, None, :]) @ _ct(f)
-        _, logdet = np.linalg.slogdet(np.eye(self.shape[1]) + a * _herm(inner))
+    def combiner(self, error: np.ndarray | None = None) -> CombinerFactors:
+        """Factors of the MMSE combiner designed from the estimate B - ``error``.
+
+        ``error`` (K, M, N_i) is the estimation error itself, so the true
+        interference B = estimate + error is never recovered as a difference;
+        without it the combiner knows B. Cancelling the estimate takes at
+        least N_s + N_i receive chains; fewer raise a configuration error.
+        """
+        m, ns, ni = self.shape
+        if self.aware is None:
+            raise ConfigurationError(
+                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
+                f"plus {ni} interfering streams")
+        if error is None:
+            return self.aware
+        white = np.linalg.solve(self._chol, np.concatenate(
+            [self._interference - error, self._desired, error], axis=2))
+        return _split_factors(white[:, :, ni:ni + ns], white[:, :, :ni], white[:, :, ni + ns:])
+
+    def _combined_rate(self, factors: CombinerFactors, a: float, b: float) -> SeResult:
+        f, r22 = factors.f, factors.r22
+        f_d = f / (1.0 + b * factors.lam)[:, None, :]
+        signal = _ct(r22) @ r22 + f_d @ _ct(f)                   # T
+        if factors.truth is None:
+            gain = signal                                        # X = T
+        else:
+            v = np.concatenate([_ct(f_d), r22], axis=1)          # combiner coordinates
+            leak = np.sqrt(b) * (_ct(factors.truth) @ v)         # sqrt(b) E^H
+            r_x = np.linalg.qr(np.concatenate([v, leak], axis=1), mode="r")
+            y = np.linalg.solve(_ct(r_x), signal)                # R_x^{-H} T
+            gain = y @ _ct(y)
+        _, logdet = np.linalg.slogdet(np.eye(self.shape[1]) + a * _herm(gain))
         return _rate_from_nats(logdet)
 
     def interference_free(self, a: float) -> SeResult:
         """log2 det(I + a A^H G^{-1} A), the rate without interference."""
         return _rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
 
-    def full_duplex(self, a: float, b: float) -> SeResult:
-        """Rate of the MMSE combiner that knows the true interference covariance.
+    def full_duplex(self, a: float, b: float,
+                    combiner: CombinerFactors | None = None) -> SeResult:
+        """Rate of the MMSE combiner with factors ``combiner`` against the true
+        interference; by default the combiner that knows it.
 
         It needs at least N_s + N_i receive chains for the cancellation to
         have full effect; fewer chains raise a configuration error.
         """
-        if self.aware is None:
-            m, ns, ni = self.shape
-            raise ConfigurationError(
-                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
-                f"plus {ni} interfering streams")
-        return self._combined_rate(self.aware, a, b)
+        return self._combined_rate(self.combiner() if combiner is None else combiner, a, b)
 
     def interference_blind(self, a: float, b: float) -> SeResult:
-        """Rate of the MMSE combiner designed as if there were no interference."""
-        return self._combined_rate(self.blind, a, b)
+        """Rate of the MMSE combiner designed as if there were no interference.
+
+        Its estimate is zero and its error the whole interference.
+        """
+        return self._combined_rate(
+            _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r), a, b)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,

@@ -13,11 +13,10 @@ transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
 shows only in the budgets. Designs that are scale invariant (RF stages,
 SVD, ZF) are computed once per structure. So are the factors of the
-backhaul's ``StreamRates``: an MMSE combiner that knows the true
-interference loses no information, so its rate, and that of the
-interference-blind combiner, follow in closed form from two scalars per
-operating point. Only a combiner designed from an erroneous interference
-estimate (sigma_e > 0) is rebuilt per operating point.
+backhaul's ``StreamRates``, and those of a full-duplex combiner designed
+from an erroneous interference estimate once per estimation error: every
+backhaul rate then follows in closed form from two scalars per operating
+point.
 """
 
 from __future__ import annotations
@@ -29,13 +28,16 @@ import numpy as np
 
 from .arrays import ArrayGeometry, partition_subarrays
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
-                      ci_path_loss, perturb_effective_channel, sample_cluster_geometry,
+                      ci_path_loss, estimation_error, sample_cluster_geometry,
                       si_channel_parts)
 from .errors import ConfigurationError
-from .link import SeResult, SnrPoint, StreamRates, duplex_rates, se_access, se_backhaul
+from .link import CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates, se_access
 from .rfil import RfilBudget, loss_fully_connected, loss_subarray
-from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
-                          top_eigvecs_factored, zf_bb_precoder)
+from .transceiver import (bb_svd, normalize_power, phase_project, top_eigvecs_factored,
+                          zf_bb_precoder)
+# unused here; the benchmark's tracer still wraps these two names in this module
+from .link import se_backhaul  # noqa: F401
+from .transceiver import mmse_bb_combiner  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -229,21 +231,32 @@ class BackhaulLinkDesign:
         return (loss_subarray("tx", n_donor, u, u, ps_kind),
                 loss_subarray("rx", n_iab, m, u, ps_kind))
 
-    def evaluate(self, ps_kind: str, snr: SnrPoint, sigma_e: float = 0.0,
-                 cee_noise: np.ndarray | None = None,
+    def combiner(self, sigma_e: float, cee_noise: np.ndarray | None = None) -> CombinerFactors:
+        """Factors of the full-duplex combiner designed from the SI estimate.
+
+        The estimated effective SI channel has the error ``estimation_error``
+        at ``sigma_e``; ``cee_noise`` is its unit-variance draw, shared by a
+        sweep over sigma_e. At sigma_e = 0 the estimate is exact. The error
+        does not depend on the operating point, so one factoring serves every
+        phase-shifter kind and SNR.
+        """
+        if sigma_e == 0.0:
+            return self.rates.combiner()
+        if cee_noise is None:
+            raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
+        error = estimation_error(self.g_si0, sigma_e, cee_noise) @ self.access.f_bb
+        return self.rates.combiner(error)
+
+    def evaluate(self, ps_kind: str, snr: SnrPoint, combiner: CombinerFactors | None = None,
                  include_no_dsic: bool = False) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
-        The full-duplex combiner is designed from the estimated effective SI
-        channel (exact when sigma_e = 0) and always judged against the true
-        one. With sigma_e = 0 it is the lossless MMSE combiner, and its rate,
-        like ``fd_perfect_sic`` and ``hd`` at every sigma_e, comes in closed
-        form from the design's ``StreamRates``. With sigma_e > 0 the
-        mismatched combiner is built and judged per operating point;
-        ``cee_noise`` supplies the unit-variance estimation-error draw so
-        sweeps over sigma_e reuse a common realization. ``include_no_dsic``
-        adds an ``fd_no_dsic`` entry where the receiver ignores the
-        interference when combining.
+        The full-duplex combiner has the factors ``combiner`` (by default
+        those of the exact SI estimate, see ``combiner``) and is always
+        judged against the true SI channel. Every rate comes in closed form
+        from the design's ``StreamRates``. ``include_no_dsic`` adds an
+        ``fd_no_dsic`` entry where the receiver ignores the interference when
+        combining.
         """
         scn = self.scn
         # the receive-side loss scales signal, interference and noise alike
@@ -252,22 +265,10 @@ class BackhaulLinkDesign:
         acc_scale = self.access.budgets(ps_kind)[0].linear_scale
         # the donor and the IAB node each send one stream per user
         p = snr.stream_power(scn.users)
-        p_rsi = p * scn.si_power_advantage
         a = p * tx_scale ** 2 / snr.noise_power
-        b = p_rsi * acc_scale ** 2 / snr.noise_power
-        if sigma_e > 0.0:
-            if cee_noise is None:
-                raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
-            desired = self.des0 * tx_scale
-            g_si = self.g_si0 * acc_scale
-            rsi_est = perturb_effective_channel(g_si, sigma_e, cee_noise) @ self.access.f_bb
-            comb = mmse_bb_combiner(desired, rsi_est, snr.noise_power, p, p_rsi,
-                                    noise_gram=self.noise_gram)
-            fd = se_backhaul(desired, comb, snr, g_si @ self.access.f_bb, p_rsi,
-                             self.noise_gram)
-        else:
-            fd = self.rates.full_duplex(a, b)
-        out = duplex_rates(fd, self.rates.interference_free(a))
+        b = p * scn.si_power_advantage * acc_scale ** 2 / snr.noise_power
+        out = duplex_rates(self.rates.full_duplex(a, b, combiner),
+                           self.rates.interference_free(a))
         if include_no_dsic:
             out["fd_no_dsic"] = self.rates.interference_blind(a, b)
         return out

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from fdiab.channel import draw_cee_noise, estimation_error
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
@@ -46,7 +47,7 @@ def test_si_channel_carries_cancellation_budget(drop):
 def test_designs_respect_rf_constraints(drop, structure):
     scn, real = drop
     access = AccessLinkDesign(scn, real, structure)
-    bh = BackhaulLinkDesign(scn, real, access, structure, scn.users * 0 + 2)
+    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
     for mat in (access.f_rf, bh.f_rf, bh.w_rf):
         nz = np.abs(mat) > 0
         assert np.allclose(np.abs(mat[nz]), 1.0, atol=1e-12)
@@ -176,7 +177,7 @@ def test_estimation_error_degrades_full_duplex(drop):
     m = scn.users * 2
     cee = (rng.standard_normal((scn.num_subcarriers, m, scn.users))
            + 1j * rng.standard_normal((scn.num_subcarriers, m, scn.users))) / np.sqrt(2)
-    ses = [bh.evaluate("ideal", snr, sigma_e=s, cee_noise=cee)["fd"].se_bps_hz
+    ses = [bh.evaluate("ideal", snr, bh.combiner(s, cee))["fd"].se_bps_hz
            for s in (0.0, 0.05, 0.2, 0.8)]
     assert ses[0] >= ses[1] >= ses[2] >= ses[3]
 
@@ -210,11 +211,19 @@ def test_closed_form_rates_match_extended_precision_oracle(structure):
     # stronger than the desired signal per stream, and the rates rest on
     # its null space
     scn = build_scenario(replace(SMALL, backhaul_distance_m=SMALL.cee_backhaul_distance_m))
-    real = draw_realization(scn, _seeder(1, "test", 0))
+    seeder = _seeder(1, "test", 0)
+    real = draw_realization(scn, seeder)
     access = AccessLinkDesign(scn, real, structure)
     bh = BackhaulLinkDesign(scn, real, access, structure, 2)
     snr = scn.snr_point(20.0)
     out = bh.evaluate("active", snr, include_no_dsic=True)
+    # the combiner designed from an estimate with error sigma_e, judged
+    # against the truth: estimate plus error
+    cee = draw_cee_noise(seeder("cee"), (scn.num_subcarriers, 2 * scn.users, scn.users))
+    sigmas = (0.01, 1.0)
+    errors = [estimation_error(bh.g_si0, sigma_e, cee) for sigma_e in sigmas]
+    mismatched = [bh.evaluate("active", snr, bh.combiner(sigma_e, cee))["fd"]
+                  for sigma_e in sigmas]
     p = snr.stream_power(scn.users)
     with mpmath.workdps(40):
         n = mpmath.mpf(snr.noise_power)
@@ -234,6 +243,13 @@ def test_closed_form_rates_match_extended_precision_oracle(structure):
             for mode, rel in (("fd", 1e-13), ("fd_perfect_sic", 1e-13), ("fd_no_dsic", 1e-11)):
                 got = out[mode].per_subcarrier[k]
                 assert abs(got - want[mode]) <= rel * abs(want[mode]), (mode, k, got, want[mode])
+            for sigma_e, error, res in zip(sigmas, errors, mismatched):
+                estimate = rsi - _mp(error[k]) * _mp(access.f_bb[k])
+                comb = mpmath.inverse(gram + b * estimate * estimate.H
+                                      + a * desired * desired.H) * desired
+                want = _mp_rate(desired, interference, comb, a)
+                got = res.per_subcarrier[k]
+                assert abs(got - want) <= 1e-11 * abs(want), (sigma_e, k, got, want)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -246,4 +262,4 @@ def test_too_few_receive_chains_rejected_at_evaluation(drop, structure, sigma_e)
     bh = BackhaulLinkDesign(scn, real, access, structure, 1)
     cee = np.ones((scn.num_subcarriers, scn.users, scn.users), dtype=complex)
     with pytest.raises(ConfigurationError, match="rf-chain-rule"):
-        bh.evaluate("ideal", scn.snr_point(10.0), sigma_e=sigma_e, cee_noise=cee)
+        bh.evaluate("ideal", scn.snr_point(10.0), bh.combiner(sigma_e, cee))
