@@ -129,11 +129,20 @@ class ExperimentConfig:
 
         require(self.schema_version == SCHEMA_VERSION, "schema-version",
                 f"expected {SCHEMA_VERSION}, got {self.schema_version}")
-        # every integer setting is a count, except the schema version and the seed
         for f in fields(self):
+            value = getattr(self, f.name)
+            values = tuple(value) if f.type.startswith("tuple") else (value,)
+            # every integer setting is a count, except the schema version and the seed
             if f.type == "int" and f.name not in ("schema_version", "master_seed"):
-                value = getattr(self, f.name)
                 require(value >= 1, "positive-counts", f"{f.name} must be >= 1, got {value}")
+            if f.type in ("float", "tuple[float, ...]"):
+                # an infinite Rician factor is the pure line-of-sight SI channel
+                finite = all(math.isfinite(v) or (f.name == "si_rician_db" and v == math.inf)
+                             for v in values)
+                require(finite, "finite-values", f"{f.name} must be finite, got {value}")
+            # a repeated grid point or selection repeats its rows
+            require(len(set(values)) == len(values), "distinct-values",
+                    f"{f.name} repeats a value: {value}")
         require(self.element_spacing > 0, "spacing-positive",
                 f"element spacing must be positive, got {self.element_spacing}")
         require(self.carrier_hz > 0 and self.subcarrier_spacing_hz > 0, "carrier-positive",

@@ -18,8 +18,8 @@ full-digital and hybrid schemes comparable.
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
 ``se_backhaul`` evaluates any linear backhaul combiner; ``StreamRates``
-gives the rates of the backhaul's MMSE combiners in closed form from
-factors computed once per design and once per interference estimate.
+gives the rate of each MMSE combiner the backhaul may use, passed as a
+value, in closed form from one routine.
 """
 
 from __future__ import annotations
@@ -215,9 +215,10 @@ class StreamRates:
     interfering links, and n the noise power.
 
     Every factor is computed after whitening by the Cholesky factor L of G
-    (A_w = L^{-1} A, B_w = L^{-1} B): the interference-free rate and the
-    combiner that knows B once per design, a combiner designed from an
-    estimate of B once per estimate (``combiner``). A combiner whose columns
+    (A_w = L^{-1} A, B_w = L^{-1} B). Each full-duplex combiner is a value,
+    the factors of an MMSE combiner designed from an estimate of B: ``aware``
+    knows B, ``combiner(error)`` errs by ``error``, ``blind_combiner()``
+    estimates zero; ``rate`` judges each against B. A combiner whose columns
     span R^{-1} A, with R the covariance it balances against, loses no
     information (Tse and Viswanath, *Fundamentals of Wireless
     Communication*, sec. 8.3). For a combiner with coordinates V that sees
@@ -242,10 +243,8 @@ class StreamRates:
         # coordinates of B_w and A_w in an orthonormal basis of their joint span
         r = np.linalg.qr(white, mode="r")
         self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
-        r_a = np.linalg.qr(self._a_r, mode="r")
-        self.signal_eigs = np.linalg.svd(r_a, compute_uv=False) ** 2
-        # with fewer than N_s + N_i chains the interference is not separable
-        self.aware = _split_factors(self._a_r, self._b_r) if m >= ns + ni else None
+        self.signal_eigs = np.linalg.svd(self._a_r, compute_uv=False) ** 2
+        self.aware = _split_factors(self._a_r, self._b_r)
 
     def combiner(self, error: np.ndarray | None = None) -> CombinerFactors:
         """Factors of the MMSE combiner designed from the estimate B - ``error``.
@@ -256,7 +255,7 @@ class StreamRates:
         least N_s + N_i receive chains; fewer raise a configuration error.
         """
         m, ns, ni = self.shape
-        if self.aware is None:
+        if m < ns + ni:
             raise ConfigurationError(
                 f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
                 f"plus {ni} interfering streams")
@@ -266,7 +265,16 @@ class StreamRates:
             [self._interference - error, self._desired, error], axis=2))
         return _split_factors(white[:, :, ni:ni + ns], white[:, :, :ni], white[:, :, ni + ns:])
 
-    def _combined_rate(self, factors: CombinerFactors, a: float, b: float) -> SeResult:
+    def blind_combiner(self) -> CombinerFactors:
+        """Factors of the MMSE combiner designed as if there were no interference.
+
+        Its estimate is zero and its error the whole interference: a receiver
+        without digital cancellation.
+        """
+        return _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r)
+
+    def rate(self, factors: CombinerFactors, a: float, b: float) -> SeResult:
+        """Rate of the MMSE combiner with ``factors`` against the true interference."""
         f, r22 = factors.f, factors.r22
         f_d = f / (1.0 + b * factors.lam)[:, None, :]
         signal = _ct(r22) @ r22 + f_d @ _ct(f)                   # T
@@ -284,24 +292,6 @@ class StreamRates:
     def interference_free(self, a: float) -> SeResult:
         """log2 det(I + a A^H G^{-1} A), the rate without interference."""
         return _rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
-
-    def full_duplex(self, a: float, b: float,
-                    combiner: CombinerFactors | None = None) -> SeResult:
-        """Rate of the MMSE combiner with factors ``combiner`` against the true
-        interference; by default the combiner that knows it.
-
-        It needs at least N_s + N_i receive chains for the cancellation to
-        have full effect; fewer chains raise a configuration error.
-        """
-        return self._combined_rate(self.combiner() if combiner is None else combiner, a, b)
-
-    def interference_blind(self, a: float, b: float) -> SeResult:
-        """Rate of the MMSE combiner designed as if there were no interference.
-
-        Its estimate is zero and its error the whole interference.
-        """
-        return self._combined_rate(
-            _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r), a, b)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,

@@ -12,11 +12,13 @@ Every transmitter has one RF chain per user, one stream each. Only the
 transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
 shows only in the budgets. Designs that are scale invariant (RF stages,
-SVD, ZF) are computed once per structure. So are the factors of the
-backhaul's ``StreamRates``, and those of a full-duplex combiner designed
-from an erroneous interference estimate once per estimation error: every
-backhaul rate then follows in closed form from two scalars per operating
-point.
+SVD, ZF) are computed once per structure. So are the backhaul's
+``StreamRates``. A full-duplex combiner is a value the caller passes to
+``BackhaulLinkDesign.evaluate``: the one that knows the interference (the
+default), one designed from an erroneous estimate (``combiner``, factored
+once per estimation error) or one blind to it (``rates.blind_combiner()``).
+Every backhaul rate then follows in closed form from two scalars per
+operating point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .arrays import ArrayGeometry, partition_subarrays
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
                       ci_path_loss, estimation_error, sample_cluster_geometry,
                       si_channel_parts)
-from .errors import ConfigurationError
 from .link import CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates, se_access
 from .rfil import RfilBudget, loss_fully_connected, loss_subarray
 from .transceiver import (bb_svd, normalize_power, phase_project, top_eigvecs_factored,
@@ -231,7 +232,7 @@ class BackhaulLinkDesign:
         return (loss_subarray("tx", n_donor, u, u, ps_kind),
                 loss_subarray("rx", n_iab, m, u, ps_kind))
 
-    def combiner(self, sigma_e: float, cee_noise: np.ndarray | None = None) -> CombinerFactors:
+    def combiner(self, sigma_e: float, cee_noise: np.ndarray) -> CombinerFactors:
         """Factors of the full-duplex combiner designed from the SI estimate.
 
         The estimated effective SI channel has the error ``estimation_error``
@@ -242,21 +243,18 @@ class BackhaulLinkDesign:
         """
         if sigma_e == 0.0:
             return self.rates.combiner()
-        if cee_noise is None:
-            raise ConfigurationError("sigma_e > 0 requires a cee_noise draw")
         error = estimation_error(self.g_si0, sigma_e, cee_noise) @ self.access.f_bb
         return self.rates.combiner(error)
 
-    def evaluate(self, ps_kind: str, snr: SnrPoint, combiner: CombinerFactors | None = None,
-                 include_no_dsic: bool = False) -> dict[str, SeResult]:
+    def evaluate(self, ps_kind: str, snr: SnrPoint,
+                 combiner: CombinerFactors | None = None) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
-        The full-duplex combiner has the factors ``combiner`` (by default
-        those of the exact SI estimate, see ``combiner``) and is always
-        judged against the true SI channel. Every rate comes in closed form
-        from the design's ``StreamRates``. ``include_no_dsic`` adds an
-        ``fd_no_dsic`` entry where the receiver ignores the interference when
-        combining.
+        The full-duplex combiner has the factors ``combiner``: by default
+        those of the exact SI estimate, otherwise one from ``combiner`` or
+        ``rates.blind_combiner()``, the receiver without digital
+        cancellation. It is always judged against the true SI channel. Every
+        rate comes in closed form from the design's ``StreamRates``.
         """
         scn = self.scn
         # the receive-side loss scales signal, interference and noise alike
@@ -267,11 +265,9 @@ class BackhaulLinkDesign:
         p = snr.stream_power(scn.users)
         a = p * tx_scale ** 2 / snr.noise_power
         b = p * scn.si_power_advantage * acc_scale ** 2 / snr.noise_power
-        out = duplex_rates(self.rates.full_duplex(a, b, combiner),
-                           self.rates.interference_free(a))
-        if include_no_dsic:
-            out["fd_no_dsic"] = self.rates.interference_blind(a, b)
-        return out
+        if combiner is None:
+            combiner = self.rates.combiner()
+        return duplex_rates(self.rates.rate(combiner, a, b), self.rates.interference_free(a))
 
 
 def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) -> SeResult:

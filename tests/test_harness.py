@@ -239,10 +239,32 @@ def test_config_validation_rule_names():
         ("path-count", replace(two_users, rays_per_cluster=2, rx_chains_per_subarray=2,
                                structures=("subarray",), experiments=("fig6",),
                                sic_chain_counts=(2, 4, 8))),
+        # a repeated grid point or selection would write its rows twice
+        ("distinct-values", replace(TINY, snr_db_grid=(10.0, 10.0))),
+        ("distinct-values", replace(TINY, experiments=("fig4", "fig4"))),
+        ("distinct-values", replace(TINY, ps_kinds=("ideal", "ideal"))),
+        ("distinct-values", replace(TINY, sic_chain_counts=(2, 2))),
+        ("finite-values", replace(TINY, snr_db_grid=(float("nan"),))),
+        ("finite-values", replace(TINY, snr_db_grid=(float("inf"),))),
+        ("finite-values", replace(TINY, path_loss_exponent=float("nan"))),
+        ("finite-values", replace(TINY, sic_snr_db=float("nan"))),
+        ("finite-values", replace(TINY, si_rician_db=float("nan"))),
+        ("finite-values", replace(TINY, si_rician_db=-float("inf"))),
     ]
     for rule, cfg in bad:
         with pytest.raises(ConfigurationError, match=rule):
             cfg.validate()
+
+
+def test_config_accepts_pure_line_of_sight_si(tmp_path):
+    # the one infinite setting: an infinite Rician factor, in code and in a file
+    replace(TINY, si_rician_db=float("inf")).validate()
+    path = tmp_path / "cfg.ini"
+    path.write_text("[channel]\nsi_rician_db = inf\n")
+    load_config(path).validate()
+    path.write_text("[system]\npath_loss_exponent = nan\n")
+    with pytest.raises(ConfigurationError, match="finite-values"):
+        load_config(path).validate()
 
 
 def test_config_checks_fig6_chain_counts_only_when_fig6_runs():

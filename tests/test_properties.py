@@ -59,7 +59,8 @@ def test_duplex_modes_of_production_designs(drop, structure, ps_kind, snr_db, si
                          (cfg.subcarriers, cfg.users * cfg.rx_chains_per_subarray, cfg.users))
 
     acc = access.evaluate(ps_kind, snr)
-    bh = backhaul.evaluate(ps_kind, snr, backhaul.combiner(sigma_e, cee))
+    mismatched = backhaul.combiner(sigma_e, cee)
+    bh = backhaul.evaluate(ps_kind, snr, mismatched)
     for out in (acc, bh):
         assert tuple(out) == DUPLEX_MODES
         assert out["hd"].se_bps_hz == 0.5 * out["fd_perfect_sic"].se_bps_hz
@@ -69,6 +70,13 @@ def test_duplex_modes_of_production_designs(drop, structure, ps_kind, snr_db, si
     assert acc["fd"].se_bps_hz == acc["fd_perfect_sic"].se_bps_hz
     fd, ideal = bh["fd"].se_bps_hz, bh["fd_perfect_sic"].se_bps_hz
     assert fd <= ideal * (1.0 + 1e-12)
+    # without interference power every MMSE combiner is the interference-free one
+    rates = backhaul.rates
+    for a in (1e2, 1e5):
+        want = rates.interference_free(a).per_subcarrier
+        for combiner in (rates.aware, mismatched, rates.blind_combiner()):
+            got = rates.rate(combiner, a, 0.0).per_subcarrier
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (a, got, want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -124,8 +132,9 @@ def test_closed_form_rates_match_general_combiner_path(drop, structure, ps_kind,
     snr = scn.snr_point(snr_db)
     cee = draw_cee_noise(seeder("cee"),
                          (cfg.subcarriers, cfg.users * cfg.rx_chains_per_subarray, cfg.users))
-    closed = backhaul.evaluate(ps_kind, snr, backhaul.combiner(sigma_e, cee),
-                               include_no_dsic=True)
+    closed = backhaul.evaluate(ps_kind, snr, backhaul.combiner(sigma_e, cee))
+    closed["fd_no_dsic"] = backhaul.evaluate(ps_kind, snr,
+                                             backhaul.rates.blind_combiner())["fd"]
     general = _general_rates(backhaul, ps_kind, snr, sigma_e, cee)
     # the general path itself is off by up to 1e-11 on the blind combiner's
     # rate; with an estimation error the two paths differed by up to 8.2e-13
