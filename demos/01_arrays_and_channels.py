@@ -31,8 +31,7 @@ print("=" * 70)
 print("Clustered wideband channel")
 print("=" * 70)
 
-cfg = ClusterConfig(num_clusters=5, rays_per_cluster=10,
-                    sampling_time=1.0 / (128 * 120e3), num_taps=32)
+cfg = ClusterConfig(num_clusters=5, rays_per_cluster=10, num_taps=32)
 paths = sample_cluster_geometry(cfg, rng_seed=7)
 print(f"{cfg.num_paths} rays drawn; total gain power {np.sum(np.abs(paths.gains)**2):.3f} "
       "(expected value 1)")

@@ -30,11 +30,10 @@ print("normalized singular values:", np.round(sv[:6] / sv[0], 4))
 print("-> sparse and low rank, dominated by the direct coupling\n")
 
 cfg = SiChannelConfig(rician_factor_db=45.0, nlos_clusters=2, nlos_rays=4)
-cluster = ClusterConfig(num_clusters=2, rays_per_cluster=4,
-                        sampling_time=1.0 / (128 * 120e3), num_taps=32)
+cluster = ClusterConfig(num_clusters=2, rays_per_cluster=4, num_taps=32)
 channel = si_channel_parts(tx, rx, cfg, cluster, rng_seed=1, wavelength=lam,
                            num_subcarriers=128)
-print(f"wideband SI channel over {channel.num_subcarriers} subcarriers; "
+print(f"wideband SI channel over {channel.nlos.num_subcarriers} subcarriers; "
       f"LoS power fraction {channel.los_weight**2:.5f} (Rician factor 45 dB)")
 
 # the effective channel through 16 random phase-only columns on each side

@@ -4,11 +4,13 @@ The frequency-selective channel is a sum of rays grouped in clusters. Each
 ray contributes a complex gain, a transmit/receive steering outer product,
 and a raised-cosine pulse sampled at the tap grid, so tap d reads
 
-    H[d] = amp * sum_p g_p * p_rc(d*Ts - tau_p) * a_rx(p) a_tx(p)^H
+    H[d] = amp * sum_p g_p * p_rc(d - tau_p) * a_rx(p) a_tx(p)^H
 
-with ``amp`` chosen so that E[sum_d ||H[d]||_F^2] = N_rx * N_tx. Average
-path loss is carried separately as a dB budget. Subcarrier responses are
-the DFT of the taps over d.
+with each delay tau_p in sample periods (the pulse depends on time only
+through t / Ts, so the sampling time Ts itself never enters) and ``amp``
+chosen so that E[sum_d ||H[d]||_F^2] = N_rx * N_tx. Average path loss is
+carried separately as a dB budget. Subcarrier responses are the DFT of the
+taps over d.
 
 The self-interference channel between the co-located transmit and receive
 panels combines a deterministic near-field line-of-sight matrix (spherical
@@ -46,12 +48,11 @@ def as_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Cluster/ray geometry of the wideband channel."""
+    """Cluster/ray geometry of the wideband channel; delays count sample periods."""
 
     num_clusters: int = 5
     rays_per_cluster: int = 10
     angle_spread: float = math.radians(10.0)
-    sampling_time: float = 1.0 / (512 * 120e3)
     num_taps: int = 128
     pulse_rolloff: float = 0.5
 
@@ -60,8 +61,6 @@ class ClusterConfig:
             raise ConfigurationError("need at least one cluster and one ray per cluster")
         if self.num_taps < 1:
             raise ConfigurationError("need at least one delay tap")
-        if self.sampling_time <= 0.0:
-            raise ConfigurationError("sampling time must be positive")
         if not 0.0 <= self.pulse_rolloff <= 1.0:
             raise ConfigurationError("pulse rolloff must lie in [0, 1]")
         if self.angle_spread < 0.0:
@@ -90,7 +89,7 @@ class SiChannelConfig:
 
 @dataclass
 class ClusterGeometry:
-    """Sampled per-ray parameters, flattened over clusters."""
+    """Sampled per-ray parameters, flattened over clusters; delays in sample periods."""
 
     gains: np.ndarray
     delays: np.ndarray
@@ -120,9 +119,9 @@ def sample_cluster_geometry(cfg: ClusterConfig, rng_seed) -> ClusterGeometry:
 
     Cluster-center azimuths are uniform on [-pi, pi] and elevations uniform on
     [-pi/2, pi/2]; per-ray offsets are Laplacian with the configured spread
-    (azimuths wrapped, elevations clipped). Delays are uniform on
-    [0, D*Ts]. Ray gains are circular Gaussian with total expected power 1,
-    i.e. Rayleigh magnitudes with scale set by the total path count.
+    (azimuths wrapped, elevations clipped). Delays, in sample periods, are
+    uniform on [0, D]. Ray gains are circular Gaussian with total expected
+    power 1, i.e. Rayleigh magnitudes with scale set by the total path count.
     """
     rng = as_rng(rng_seed)
     c, r = cfg.num_clusters, cfg.rays_per_cluster
@@ -147,7 +146,7 @@ def sample_cluster_geometry(cfg: ClusterConfig, rng_seed) -> ClusterGeometry:
     aod_el = spread(aod_el_c, clip=True)
     aoa_az = spread(aoa_az_c, clip=False)
     aoa_el = spread(aoa_el_c, clip=True)
-    delays = rng.uniform(0.0, cfg.num_taps * cfg.sampling_time, size=p)
+    delays = rng.uniform(0.0, cfg.num_taps, size=p)
     gains = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2.0 * p)
     return ClusterGeometry(gains, delays, aod_az, aod_el, aoa_az, aoa_el)
 
@@ -167,15 +166,14 @@ def raised_cosine(x, rolloff: float) -> np.ndarray:
 
 
 def _pulse_taps(delays: np.ndarray, cfg: ClusterConfig) -> np.ndarray:
-    """(P, D) raised-cosine samples p_rc(d*Ts - tau_p)."""
+    """(P, D) raised-cosine samples p_rc(d - tau_p), delays tau_p in sample periods."""
     d = np.arange(cfg.num_taps)[None, :]
-    u = (delays / cfg.sampling_time)[:, None]
-    return raised_cosine(d - u, cfg.pulse_rolloff)
+    return raised_cosine(d - delays[:, None], cfg.pulse_rolloff)
 
 
 @functools.lru_cache(maxsize=32)
 def expected_pulse_energy(num_taps: int, rolloff: float) -> float:
-    """E_tau[ sum_d p_rc(d*Ts - tau)^2 ] for tau uniform on [0, D*Ts].
+    """E_tau[ sum_d p_rc(d - tau)^2 ] for tau uniform on [0, D] sample periods.
 
     Evaluated by averaging the truncated tap-energy sum over a fine fractional
     delay grid of ``PULSE_ENERGY_GRID`` points; used to normalize the tap
@@ -299,22 +297,17 @@ class SiChannelParts:
     """Factored SI channel: Rician-weighted near-field LoS plus clustered NLoS."""
 
     los: np.ndarray
-    nlos: PathChannel | None
+    nlos: PathChannel
     los_weight: float
     nlos_weight: float
     amplitude: float = 1.0
 
     def effective(self, rx_matrix: np.ndarray, tx_matrix: np.ndarray) -> np.ndarray:
         """Per-subcarrier W^H H_si[k] F including the residual-cancellation scale."""
-        flat = rx_matrix.conj().T @ self.los @ tx_matrix
-        out = np.broadcast_to(self.los_weight * flat, (self.num_subcarriers,) + flat.shape).copy()
-        if self.nlos is not None:
-            out += self.nlos_weight * self.nlos.effective(rx_matrix, tx_matrix)
+        # summed in place: a (K, a, b) temporary less than the two-term sum
+        out = self.nlos_weight * self.nlos.effective(rx_matrix, tx_matrix)
+        out += self.los_weight * (rx_matrix.conj().T @ self.los @ tx_matrix)
         return self.amplitude * out
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.nlos.num_subcarriers if self.nlos is not None else 1
 
     def attenuated(self, sic_db: float) -> "SiChannelParts":
         """Copy attenuated by sic_db of power: amplitude scale 10^(-sic_db/20)."""
@@ -325,8 +318,9 @@ class SiChannelParts:
 
 
 def _rician_weights(rician_factor_db: float) -> tuple[float, float]:
+    """(LoS, NLoS) amplitude weights; +inf dB is pure LoS and -inf dB pure NLoS."""
     if np.isinf(rician_factor_db):
-        return 1.0, 0.0
+        return (1.0, 0.0) if rician_factor_db > 0 else (0.0, 1.0)
     kappa = 10.0 ** (rician_factor_db / 10.0)
     return math.sqrt(kappa / (1.0 + kappa)), math.sqrt(1.0 / (1.0 + kappa))
 
@@ -341,13 +335,10 @@ def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChan
     """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS."""
     rng = as_rng(rng_seed)
     los = near_field_los(tx_geom, rx_geom, wavelength)
-    w_los, w_nlos = _rician_weights(cfg.rician_factor_db)
-    nlos = None
-    if w_nlos > 0.0:
-        paths = sample_cluster_geometry(_si_nlos_config(cfg, cluster_cfg), rng)
-        nlos = PathChannel(paths, tx_geom, rx_geom, _si_nlos_config(cfg, cluster_cfg),
-                           num_subcarriers)
-    return SiChannelParts(los, nlos, w_los, w_nlos)
+    nlos_cfg = _si_nlos_config(cfg, cluster_cfg)
+    nlos = PathChannel(sample_cluster_geometry(nlos_cfg, rng), tx_geom, rx_geom, nlos_cfg,
+                       num_subcarriers)
+    return SiChannelParts(los, nlos, *_rician_weights(cfg.rician_factor_db))
 
 
 def draw_cee_noise(rng_seed, shape) -> np.ndarray:

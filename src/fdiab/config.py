@@ -50,7 +50,6 @@ class ExperimentConfig:
     # cancellation study a standard hop, and the estimation-error study a
     # long hop where residual self-interference dominates
     carrier_hz: float = 28e9
-    subcarrier_spacing_hz: float = 120e3
     backhaul_distance_m: float = 6.0
     sic_backhaul_distance_m: float = 120.0
     cee_backhaul_distance_m: float = 4000.0
@@ -106,10 +105,6 @@ class ExperimentConfig:
         return self.user_rows * self.user_cols
 
     @property
-    def sampling_time(self) -> float:
-        return 1.0 / (self.subcarriers * self.subcarrier_spacing_hz)
-
-    @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
@@ -145,8 +140,8 @@ class ExperimentConfig:
                     f"{f.name} repeats a value: {value}")
         require(self.element_spacing > 0, "spacing-positive",
                 f"element spacing must be positive, got {self.element_spacing}")
-        require(self.carrier_hz > 0 and self.subcarrier_spacing_hz > 0, "carrier-positive",
-                "carrier and subcarrier spacing must be positive")
+        require(self.carrier_hz > 0, "carrier-positive",
+                f"carrier frequency must be positive, got {self.carrier_hz}")
         require(self.num_taps <= self.subcarriers, "taps-within-cp",
                 f"{self.num_taps} taps exceed {self.subcarriers} subcarriers")
         require(self.iab_elements % self.users == 0, "subarray-divisibility",

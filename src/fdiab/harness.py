@@ -27,7 +27,7 @@ import numpy as np
 from .channel import draw_cee_noise
 from .config import ExperimentConfig
 from .errors import ConfigurationError, DegenerateInputError, NearSingularError
-from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Realization, Scenario,
+from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Scenario,
                        build_scenario, draw_realization, full_digital_backhaul_se)
 
 log = logging.getLogger(__name__)

@@ -89,12 +89,12 @@ def build_scenario(cfg: "ExperimentConfig") -> Scenario:
     user = ArrayGeometry(cfg.user_rows, cfg.user_cols, cfg.element_spacing)
     cluster = ClusterConfig(
         num_clusters=cfg.clusters, rays_per_cluster=cfg.rays_per_cluster,
-        angle_spread=cfg.angle_spread_rad, sampling_time=cfg.sampling_time,
-        num_taps=cfg.num_taps, pulse_rolloff=cfg.pulse_rolloff)
+        angle_spread=cfg.angle_spread_rad, num_taps=cfg.num_taps,
+        pulse_rolloff=cfg.pulse_rolloff)
     access_cluster = ClusterConfig(
         num_clusters=cfg.access_clusters, rays_per_cluster=cfg.access_rays_per_cluster,
-        angle_spread=cfg.access_angle_spread_rad, sampling_time=cfg.sampling_time,
-        num_taps=cfg.num_taps, pulse_rolloff=cfg.pulse_rolloff)
+        angle_spread=cfg.access_angle_spread_rad, num_taps=cfg.num_taps,
+        pulse_rolloff=cfg.pulse_rolloff)
     si = SiChannelConfig(
         rician_factor_db=cfg.si_rician_db, nlos_clusters=cfg.si_nlos_clusters,
         nlos_rays=cfg.si_nlos_rays, pre_digital_sic_db=cfg.sic_db)

@@ -25,9 +25,6 @@ from .errors import (ConfigurationError, DegenerateInputError, DimensionError,
 # largest per-subcarrier condition number zero forcing accepts
 ZF_COND_LIMIT = 1e8
 
-# subcarriers per block when normalize_power forms the coupled precoder
-_NORM_BLOCK = 64
-
 
 def _fix_column_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each column so its first significant entry is real positive.
@@ -146,20 +143,15 @@ def normalize_power(rf_precoder: np.ndarray, bb_precoder: np.ndarray, num_stream
     power num_streams / N_s-columns individually (equal allocation across
     streams); otherwise one global factor per subcarrier is used.
     """
-    # the coupled (K, N, N_s) precoder is formed in blocks of subcarriers: it
-    # is the largest transient of a design, and each norm is per subcarrier
-    def coupled_norms(**norm_args):
-        return np.concatenate([
-            np.linalg.norm(rf_precoder[None, :, :] @ bb_precoder[k:k + _NORM_BLOCK],
-                           **norm_args)
-            for k in range(0, len(bb_precoder), _NORM_BLOCK)])
-
+    # ||rf @ b||^2 = b^H (rf^H rf) b: per-column powers from the N_rf x N_rf Gram
+    gram = rf_precoder.conj().T @ rf_precoder
+    powers = np.sum(bb_precoder.conj() * (gram @ bb_precoder), axis=1).real   # (K, N_s)
     if equal_streams:
-        norms = coupled_norms(axis=1, keepdims=True)             # (K, 1, N_s)
-        if np.any(norms == 0):
+        if np.any(powers <= 0):
             raise DegenerateInputError("coupled precoder has a zero column")
+        norms = np.sqrt(powers)[:, None, :]
         return bb_precoder * (np.sqrt(num_streams / bb_precoder.shape[2]) / norms)
-    norms = coupled_norms(axis=(1, 2))
-    if np.any(norms == 0):
+    totals = np.sum(powers, axis=1)
+    if np.any(totals <= 0):
         raise DegenerateInputError("coupled precoder is zero on some subcarrier")
-    return bb_precoder * (np.sqrt(num_streams) / norms)[:, None, None]
+    return bb_precoder * (np.sqrt(num_streams) / np.sqrt(totals))[:, None, None]

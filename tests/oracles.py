@@ -63,10 +63,9 @@ def gen_si_channel(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChanne
     w_los, w_nlos = _rician_weights(cfg.rician_factor_db)
     taps = np.zeros((cluster_cfg.num_taps, rx_geom.num_elements, tx_geom.num_elements),
                     dtype=complex)
-    if w_nlos > 0.0:
-        paths = sample_cluster_geometry(_si_nlos_config(cfg, cluster_cfg), rng)
-        taps += w_nlos * assemble_delay_taps(paths, tx_geom, rx_geom,
-                                             _si_nlos_config(cfg, cluster_cfg))
+    nlos_cfg = _si_nlos_config(cfg, cluster_cfg)
+    paths = sample_cluster_geometry(nlos_cfg, rng)
+    taps += w_nlos * assemble_delay_taps(paths, tx_geom, rx_geom, nlos_cfg)
     taps[0] += w_los * los
     return WidebandChannel(taps=taps)
 

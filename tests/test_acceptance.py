@@ -51,8 +51,7 @@ def _mean(rows, **kw):
 
 def test_criterion_1_property_suite(tmp_path):
     rng = np.random.default_rng(2)
-    cfg = ClusterConfig(num_clusters=2, rays_per_cluster=4,
-                        sampling_time=1e-7, num_taps=16)
+    cfg = ClusterConfig(num_clusters=2, rays_per_cluster=4, num_taps=16)
     # the RF stage of the sweep, on a 4x4-to-4x4 channel over 16 subcarriers
     channel = PathChannel(sample_cluster_geometry(cfg, 2), ArrayGeometry(4, 4),
                           ArrayGeometry(4, 4), cfg, 16)
@@ -277,16 +276,14 @@ def test_criterion_6_digital_sic_near_ideal(sweep):
 
 
 def test_criterion_7_statistical_oracles():
-    cfg = ClusterConfig(num_clusters=100, rays_per_cluster=1, angle_spread=0.0,
-                        sampling_time=1e-7, num_taps=8)
+    cfg = ClusterConfig(num_clusters=100, rays_per_cluster=1, angle_spread=0.0, num_taps=8)
     rng = np.random.default_rng(99)
     azimuths = np.concatenate([sample_cluster_geometry(cfg, rng).aoa_azimuth
                                for _ in range(1000)])
     res = stats.kstest(azimuths, stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf)
     assert res.pvalue > 0.01
 
-    cfg2 = ClusterConfig(num_clusters=10, rays_per_cluster=10, sampling_time=1e-7,
-                         num_taps=8)
+    cfg2 = ClusterConfig(num_clusters=10, rays_per_cluster=10, num_taps=8)
     rng = np.random.default_rng(2024)
     totals = [np.sum(np.abs(sample_cluster_geometry(cfg2, rng).gains) ** 2)
               for _ in range(1000)]

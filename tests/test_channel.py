@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
+from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _si_nlos_config,
                            ci_path_loss, draw_cee_noise, near_field_los,
                            perturb_effective_channel, raised_cosine,
                            sample_cluster_geometry, si_channel_parts)
@@ -11,11 +11,9 @@ from fdiab.errors import ConfigurationError, DegenerateInputError, DomainError
 from oracles import (WidebandChannel, assemble_delay_taps, frequency_response,
                      gen_si_channel, to_frequency)
 
-TS = 1.0 / (64 * 120e3)
-
 
 def small_cfg(**kw):
-    defaults = dict(num_clusters=2, rays_per_cluster=3, sampling_time=TS, num_taps=8)
+    defaults = dict(num_clusters=2, rays_per_cluster=3, num_taps=8)
     defaults.update(kw)
     return ClusterConfig(**defaults)
 
@@ -24,7 +22,7 @@ def test_single_ray_geometry_shapes():
     cfg = small_cfg(num_clusters=1, rays_per_cluster=1)
     paths = sample_cluster_geometry(cfg, 5)
     assert paths.num_paths == 1
-    assert 0.0 <= paths.delays[0] <= cfg.num_taps * cfg.sampling_time
+    assert 0.0 <= paths.delays[0] <= cfg.num_taps
     assert -np.pi / 2 <= paths.aoa_elevation[0] <= np.pi / 2
 
 
@@ -79,7 +77,7 @@ def test_raised_cosine_basics():
 def test_on_grid_delay_with_sinc_pulse_hits_single_tap():
     cfg = small_cfg(num_clusters=1, rays_per_cluster=1, pulse_rolloff=0.0)
     paths = sample_cluster_geometry(cfg, 3)
-    paths.delays[:] = 3.0 * cfg.sampling_time
+    paths.delays[:] = 3.0
     tx = ArrayGeometry(2, 2)
     rx = ArrayGeometry(2, 2)
     taps = assemble_delay_taps(paths, tx, rx, cfg)
@@ -252,6 +250,30 @@ def test_si_channel_pure_los_limit():
 
 
 @pytest.mark.filterwarnings("ignore:panel separation")
+@pytest.mark.parametrize("rician_db", [np.inf, -np.inf])
+def test_si_channel_parts_rician_limits(rician_db):
+    """+inf dB leaves the LoS matrix alone on every subcarrier, -inf dB the NLoS paths."""
+    lam = 3e8 / 28e9
+    tx = ArrayGeometry(2, 2)
+    rx = ArrayGeometry(2, 2, origin=(8 * lam, 0.0, 0.0))
+    cfg = SiChannelConfig(rician_factor_db=rician_db)
+    cluster, k = small_cfg(), 16
+    parts = si_channel_parts(tx, rx, cfg, cluster, 5, lam, k).attenuated(20.0)
+    assert (parts.los_weight, parts.nlos_weight) == ((1.0, 0.0) if rician_db > 0 else (0.0, 1.0))
+    rng = np.random.default_rng(2)
+    w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    f = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    if rician_db > 0:
+        flat = parts.amplitude * (w.conj().T @ near_field_los(tx, rx, lam) @ f)
+        expected = np.broadcast_to(flat, (k,) + flat.shape)
+    else:
+        nlos_cfg = _si_nlos_config(cfg, cluster)
+        nlos = PathChannel(sample_cluster_geometry(nlos_cfg, 5), tx, rx, nlos_cfg, k)
+        expected = parts.amplitude * nlos.effective(w, f)
+    assert np.array_equal(parts.effective(w, f), expected)
+
+
+@pytest.mark.filterwarnings("ignore:panel separation")
 def test_si_channel_rician_power_split():
     lam = 3e8 / 28e9
     tx = ArrayGeometry(2, 2)
@@ -310,9 +332,6 @@ def test_apply_residual_sic():
     assert np.array_equal(parts.attenuated(0.0).effective(eye, eye), full)
     out = parts.attenuated(80.0).effective(eye, eye)
     assert np.isclose(np.sum(np.abs(full) ** 2) / np.sum(np.abs(out) ** 2), 1e8)
-    unit = SiChannelParts(np.eye(2) / np.sqrt(2.0), None, 1.0, 0.0)
-    assert np.isclose(np.linalg.norm(unit.attenuated(20.0).effective(np.eye(2), np.eye(2))),
-                      0.1)
     with pytest.raises(DomainError):
         parts.attenuated(-1.0)
 

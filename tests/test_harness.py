@@ -283,8 +283,9 @@ def test_config_ini_layout(tmp_path):
                          ("sic_snr_db", "sweep"), ("threads", "run")):
         assert key in parser[section]
     path = tmp_path / "cfg.ini"
-    # settings that no longer exist: the transmit chain count is the user count
-    for key in ("access_distance_m", "tx_rf_chains"):
+    # settings that no longer exist: the transmit chain count is the user count,
+    # and channel delays count sample periods, so no subcarrier spacing is needed
+    for key in ("access_distance_m", "tx_rf_chains", "subcarrier_spacing_hz"):
         path.write_text(f"[system]\n{key} = 4\n")
         with pytest.raises(ConfigurationError, match="unknown-key"):
             load_config(path)

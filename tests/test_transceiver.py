@@ -258,6 +258,8 @@ def test_normalize_power_scale_invariance():
     assert np.allclose(normalize_power(rf, bb, 2), normalize_power(rf, 2.0 * bb, 2), atol=1e-14)
     with pytest.raises(DegenerateInputError):
         normalize_power(rf, np.zeros_like(bb), 2)
+    with pytest.raises(DegenerateInputError):
+        normalize_power(rf, np.zeros_like(bb), 2, equal_streams=True)
 
 
 def test_design_determinism():
