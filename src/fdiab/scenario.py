@@ -13,17 +13,19 @@ transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
 shows only in the budgets. Designs that are scale invariant (RF stages,
 SVD, ZF) are computed once per structure. So are the backhaul's
-``StreamRates``. A full-duplex combiner is a value the caller passes to
-``BackhaulLinkDesign.evaluate``: the one that knows the interference (the
-default), one designed from an erroneous estimate (``combiner``, factored
-once per estimation error) or one blind to it (``rates.blind_combiner()``).
-Every backhaul rate then follows in closed form from two scalars per
-operating point.
+``StreamRates``. An RF stage that several designs of a drop share (a user's
+combiner in both structures, the donor stage at every receive chain count)
+is built once per drop (``Realization.rf_stage``). A full-duplex combiner is
+a value the caller passes to ``BackhaulLinkDesign.evaluate``: the one that
+knows the interference (the default), one designed from an erroneous
+estimate (``combiner``, factored once per estimation error) or one blind to
+it (``rates.blind_combiner()``). Every backhaul rate then follows in closed
+form from two scalars per operating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -116,6 +118,19 @@ class Realization:
     backhaul: PathChannel
     access: tuple[PathChannel, ...]
     si: SiChannelParts
+    _rf_stages: dict = field(default_factory=dict, init=False, repr=False)
+
+    def rf_stage(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The RF stage stored under ``key``, built by ``build()`` on first use.
+
+        An RF stage depends on the channels alone, so every design of the
+        drop that needs it shares one read-only copy.
+        """
+        if key not in self._rf_stages:
+            stage = build()
+            stage.flags.writeable = False
+            self._rf_stages[key] = stage
+        return self._rf_stages[key]
 
 
 def draw_realization(scn: Scenario, seeder: Seeder) -> Realization:
@@ -160,8 +175,9 @@ class AccessLinkDesign:
             blocks = scn.iab_blocks
         f_rf = _rf_factored([ch.covariance_factors("tx") for ch in real.access], blocks, 1)
         user_panel = (range(scn.user_geom.num_elements),)
-        combiners = [_rf_factored([ch.covariance_factors("rx")], user_panel, 1)
-                     for ch in real.access]
+        combiners = [real.rf_stage(("user", u), lambda ch=ch: _rf_factored(
+                         [ch.covariance_factors("rx")], user_panel, 1))
+                     for u, ch in enumerate(real.access)]
         self.f_rf, self.combiners = f_rf, combiners
         eff = np.concatenate([ch.effective(w, f_rf) for ch, w in zip(real.access, combiners)],
                              axis=1)                             # (K, U, U)
@@ -210,8 +226,10 @@ class BackhaulLinkDesign:
         else:
             tx_blocks, n_tx = scn.donor_blocks, 1
             rx_blocks, n_rx = scn.iab_blocks, chains_per_subarray
-        # one core per side, shared by all of that side's blocks
-        self.f_rf = _rf_factored([ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx)
+        # one core per side, shared by all of that side's blocks; the donor
+        # stage does not depend on the receive chain count
+        self.f_rf = real.rf_stage(("donor", structure), lambda: _rf_factored(
+            [ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx))
         self.w_rf = _rf_factored([ch.covariance_factors("rx")] * len(rx_blocks), rx_blocks, n_rx)
         eff = ch.effective(self.w_rf, self.f_rf)                 # (K, M, Ns)
         precoder, _ = bb_svd(eff, ns)

@@ -76,6 +76,11 @@ def frequency_response(channel: PathChannel) -> np.ndarray:
                      channel.tx_basis.conj(), optimize=True)
 
 
+def subcarrier_singular_values(channel: PathChannel, num_streams: int) -> np.ndarray:
+    """Top singular values (K, n) of the dense per-subcarrier matrices, by SVD."""
+    return np.linalg.svd(frequency_response(channel), compute_uv=False)[:, :num_streams]
+
+
 def sample_covariance(freq: np.ndarray, side: str) -> np.ndarray:
     if freq.ndim != 3:
         raise DimensionError("frequency-domain channel must have shape (K, N_rx, N_tx)")

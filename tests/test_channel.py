@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _si_nlos_config,
+from fdiab.channel import (SINGULAR_VALUE_CHUNK, ClusterConfig, PathChannel,
+                           SiChannelConfig, _si_nlos_config,
                            ci_path_loss, draw_cee_noise, near_field_los,
                            perturb_effective_channel, raised_cosine,
                            sample_cluster_geometry, si_channel_parts)
+from fdiab.config import ExperimentConfig
 from fdiab.errors import ConfigurationError, DegenerateInputError, DomainError
+from fdiab.harness import _seeder
+from fdiab.scenario import build_scenario, draw_realization, full_digital_backhaul_se
 from oracles import (WidebandChannel, assemble_delay_taps, frequency_response,
-                     gen_si_channel, to_frequency)
+                     gen_si_channel, subcarrier_singular_values, to_frequency)
 
 
 def small_cfg(**kw):
@@ -188,6 +193,55 @@ def test_path_channel_matches_dense_assembly():
     sv = pc.subcarrier_singular_values(2)
     ref_sv = np.linalg.svd(dense.freq, compute_uv=False)[:, :2]
     assert np.allclose(sv, ref_sv, atol=1e-9)
+
+
+def test_singular_values_with_small_ratio_within_absolute_bound():
+    # ray gains falling by a decade each: the fourth kept singular value is
+    # about 2e-4 of the first, where the Gram eigenvalues promise an absolute
+    # error of a few eps * s_1^2 / s_n, not the relative accuracy of an SVD
+    cfg = replace(ExperimentConfig(), subcarriers=32, num_taps=16, donor_rows=4,
+                  donor_cols=4, iab_rows=4, iab_cols=4, user_rows=2, user_cols=2,
+                  clusters=3, rays_per_cluster=4, access_clusters=2,
+                  access_rays_per_cluster=4, panel_separation_wavelengths=5.0)
+    scn = build_scenario(cfg)
+    paths = sample_cluster_geometry(scn.cluster_cfg, 3)
+    paths.gains = paths.gains * 10.0 ** -np.arange(paths.num_paths)
+    pc = PathChannel(paths, scn.donor_geom, scn.iab_rx_geom, scn.cluster_cfg,
+                     scn.num_subcarriers)
+    sv = pc.subcarrier_singular_values(scn.users)
+    ref = subcarrier_singular_values(pc, scn.users)
+    assert np.max(ref[:, -1] / ref[:, 0]) < 1e-3
+    assert np.all(np.abs(sv - ref) <= 1e-10 * ref[:, :1])
+    # the full-digital reference on this channel against the dense SVD
+    real = replace(draw_realization(scn, _seeder(1, "test", 0)), backhaul=pc)
+    snr = scn.snr_point(15.0)
+    se = full_digital_backhaul_se(real, scn, snr).se_bps_hz
+    gains = snr.stream_power(scn.users) * ref ** 2 / snr.noise_power
+    se_ref = float(np.mean(np.sum(np.log2(1.0 + gains), axis=1)))
+    assert abs(se - se_ref) <= 1e-9 * se_ref
+
+
+@pytest.mark.parametrize("tx_shape, rx_shape", [((2, 3), (2, 2)), ((2, 2), (2, 3))],
+                         ids=["receive-side-gram", "transmit-side-gram"])
+def test_singular_values_over_a_partial_last_chunk(tx_shape, rx_shape):
+    # 6 paths on a 4-element side: the path-space core is 4 x 6 or 6 x 4
+    cfg = small_cfg(num_taps=8)
+    paths = sample_cluster_geometry(cfg, 21)
+    k = 2 * SINGULAR_VALUE_CHUNK + 5
+    pc = PathChannel(paths, ArrayGeometry(*tx_shape), ArrayGeometry(*rx_shape), cfg, k)
+    sv = pc.subcarrier_singular_values(4)
+    assert sv.shape == (k, 4)
+    assert np.allclose(sv, subcarrier_singular_values(pc, 4), rtol=1e-9, atol=1e-9)
+    assert np.all(np.diff(sv, axis=1) <= 0.0)
+
+
+def test_singular_values_beyond_the_rank_rejected():
+    cfg = small_cfg(num_taps=8)
+    pc = PathChannel(sample_cluster_geometry(cfg, 21), ArrayGeometry(2, 3),
+                     ArrayGeometry(2, 2), cfg, 16)
+    assert pc.subcarrier_singular_values(4).shape == (16, 4)
+    with pytest.raises(ConfigurationError):
+        pc.subcarrier_singular_values(5)
 
 
 def test_covariance_factors_computed_once_per_side():

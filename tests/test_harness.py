@@ -72,38 +72,53 @@ def test_thread_count_does_not_change_results(tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
-_FIG5_TRIAL = """
+_ACCEPTANCE_TRIAL = """
 import json, sys
 from dataclasses import replace
 from fdiab.config import ExperimentConfig
 from fdiab.harness import run_experiment
 cfg = replace(ExperimentConfig(), subcarriers=128, num_taps=128, snr_db_grid=(15.0,),
-              experiments=("fig5",), trials=1, master_seed=309, threads=1)
+              experiments=(sys.argv[1],), trials=1, master_seed=int(sys.argv[2]),
+              threads=1)
 json.dump(run_experiment(cfg).rows, sys.stdout)
 """
 
 
-def test_fig5_rows_independent_of_blas_threads():
-    # fig5 trial 0 of seed 309 at the acceptance scale (K=128, 15 dB): at
-    # 4000 m the combiner designed from an erroneous estimate nearly nulls an
-    # interference 2e13 times stronger than the signal per stream, so an
-    # evaluation that forms that cancellation amplifies rounding, and with it
-    # the BLAS thread count, into the rate
+def _rows_independent_of_blas_threads(experiment: str, seed: int) -> list[dict]:
+    """Rows of trial 0 at the acceptance scale (K=128, 15 dB), run in-process at
+    one and at two BLAS threads; asserts they agree within 1e-10 relative and
+    returns those at one thread."""
     src = str(Path(harness.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-        out = subprocess.run([sys.executable, "-c", _FIG5_TRIAL], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = subprocess.run([sys.executable, "-c", _ACCEPTANCE_TRIAL, experiment, str(seed)],
+                             env=env, check=True, capture_output=True, text=True).stdout
         runs.append(json.loads(out))
     one, two = runs
     assert len(one) == len(two) > 0
-    assert any(row["duplex"] == "fd" and row["sigma_e"] > 0.0 for row in one)
     for a, b in zip(one, two):
         assert {**a, "se_bps_hz": 0.0} == {**b, "se_bps_hz": 0.0}
         assert abs(a["se_bps_hz"] - b["se_bps_hz"]) <= 1e-10 * abs(b["se_bps_hz"]), (a, b)
+    return one
+
+
+def test_fig5_rows_independent_of_blas_threads():
+    # fig5 trial 0 of seed 309: at 4000 m the combiner designed from an
+    # erroneous estimate nearly nulls an interference 2e13 times stronger
+    # than the signal per stream, so an evaluation that forms that
+    # cancellation amplifies rounding, and with it the BLAS thread count,
+    # into the rate
+    rows = _rows_independent_of_blas_threads("fig5", 309)
+    assert any(row["duplex"] == "fd" and row["sigma_e"] > 0.0 for row in rows)
+
+
+def test_fig6_rows_independent_of_blas_threads():
+    # the full-digital reference runs threaded matmul and eigvalsh in-process
+    rows = _rows_independent_of_blas_threads("fig6", 1)
+    assert any(row["scheme"] == "full-digital" for row in rows)
 
 
 def test_single_worker_starts_no_process(monkeypatch):

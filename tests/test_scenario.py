@@ -100,6 +100,22 @@ def test_subarray_designs_block_diagonal(drop):
             assert np.all(mat[off, col] == 0.0)
 
 
+def test_rf_stages_shared_within_a_drop():
+    # the users' combiners serve both structures and the donor stage every
+    # receive chain count; each is built once per drop and read-only
+    scn = build_scenario(SMALL)
+    real = draw_realization(scn, _seeder(1, "test", 0))
+    fc, sa = (AccessLinkDesign(scn, real, s) for s in ("fully-connected", "subarray"))
+    assert all(a is b for a, b in zip(fc.combiners, sa.combiners, strict=True))
+    two, four = (BackhaulLinkDesign(scn, real, sa, "subarray", n) for n in (2, 4))
+    assert two.f_rf is four.f_rf and two.w_rf.shape != four.w_rf.shape
+    assert not np.array_equal(BackhaulLinkDesign(scn, real, fc, "fully-connected", 2).f_rf,
+                              two.f_rf)
+    assert not (two.f_rf.flags.writeable or fc.combiners[0].flags.writeable)
+    fresh = draw_realization(scn, _seeder(1, "test", 0))
+    assert np.array_equal(BackhaulLinkDesign(scn, fresh, sa, "subarray", 4).f_rf, two.f_rf)
+
+
 def test_access_zero_forcing_holds(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "fully-connected")
