@@ -4,15 +4,16 @@ A drop consists of the donor-to-IAB backhaul channel, one access channel per
 user, and the self-interference channel between the co-located IAB panels.
 ``AccessLinkDesign`` and ``BackhaulLinkDesign`` assemble the RF stages
 (eigenvector phase projections, optionally block diagonal), the baseband
-stages (donor SVD precoding, zero forcing across access users, MMSE
-combining against residual self-interference), and evaluate spectral
-efficiency per phase-shifter kind and SNR point under every duplex mode.
+stages (one equal-power stream per donor chain, zero forcing across access
+users, MMSE combining against residual self-interference), and evaluate
+spectral efficiency per phase-shifter kind and SNR point under every duplex
+mode.
 
 Every transmitter has one RF chain per user, one stream each. Only the
 transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
-shows only in the budgets. Designs that are scale invariant (RF stages,
-SVD, ZF) are computed once per structure. So are the backhaul's
+shows only in the budgets. Designs that are scale invariant (RF stages, ZF)
+are computed once per structure. So are the backhaul's
 ``StreamRates``. An RF stage that several designs of a drop share (a user's
 combiner in both structures, the donor stage at every receive chain count)
 is built once per drop (``Realization.rf_stage``). A full-duplex combiner is
@@ -36,11 +37,10 @@ from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelPart
                       si_channel_parts)
 from .link import CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates, se_access
 from .rfil import RfilBudget, loss_fully_connected, loss_subarray
-from .transceiver import (bb_svd, normalize_power, phase_project, top_eigvecs_factored,
-                          zf_bb_precoder)
-# unused here; the benchmark's tracer still wraps these two names in this module
+from .transceiver import normalize_power, phase_project, top_eigvecs_factored, zf_bb_precoder
+# unused here; the benchmark's tracer still wraps these three names in this module
 from .link import se_backhaul  # noqa: F401
-from .transceiver import mmse_bb_combiner  # noqa: F401
+from .transceiver import bb_svd, mmse_bb_combiner  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -181,7 +181,7 @@ class AccessLinkDesign:
         self.f_rf, self.combiners = f_rf, combiners
         eff = np.concatenate([ch.effective(w, f_rf) for ch, w in zip(real.access, combiners)],
                              axis=1)                             # (K, U, U)
-        self.f_bb = normalize_power(f_rf, zf_bb_precoder(eff), u, equal_streams=True)
+        self.f_bb = normalize_power(f_rf, zf_bb_precoder(eff))
         self.rows0 = eff @ self.f_bb
         self.noise_scales = np.array([float(np.sum(np.abs(w) ** 2)) for w in combiners])
 
@@ -209,7 +209,15 @@ class AccessLinkDesign:
 
 
 class BackhaulLinkDesign:
-    """Donor-to-IAB link with the IAB node transmitting to its users in band."""
+    """Donor-to-IAB link with the IAB node transmitting to its users in band.
+
+    The donor sends one equal-power stream per RF chain: its baseband stage
+    is the identity scaled to unit-power coupled columns. With as many
+    streams as chains, a precoder such as ``bb_svd``'s is a unitary V[k]: it
+    turns the desired channel A into A V and leaves A A^H, and every rate,
+    unchanged, whether the MMSE combiner knows, misestimates or ignores the
+    interference (Tse and Viswanath, *Fundamentals of Wireless Communication*, sec. 8.3).
+    """
 
     def __init__(self, scn: Scenario, real: Realization, access: AccessLinkDesign,
                  structure: str, chains_per_subarray: int):
@@ -231,10 +239,8 @@ class BackhaulLinkDesign:
         self.f_rf = real.rf_stage(("donor", structure), lambda: _rf_factored(
             [ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx))
         self.w_rf = _rf_factored([ch.covariance_factors("rx")] * len(rx_blocks), rx_blocks, n_rx)
-        eff = ch.effective(self.w_rf, self.f_rf)                 # (K, M, Ns)
-        precoder, _ = bb_svd(eff, ns)
-        self.f_bb = normalize_power(self.f_rf, precoder, ns)
-        self.des0 = eff @ self.f_bb
+        self.f_bb = normalize_power(self.f_rf, np.eye(ns, dtype=complex)[None])
+        self.des0 = ch.effective(self.w_rf, self.f_rf) @ self.f_bb   # (K, M, Ns)
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
         self.g_si0 = real.si.effective(self.w_rf, access.f_rf)   # (K, M, U)
         self.rates = StreamRates(self.des0, self.g_si0 @ access.f_bb, self.noise_gram)

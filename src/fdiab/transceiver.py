@@ -6,10 +6,10 @@ covariance, so every entry has unit magnitude. The eigenvectors come from the
 factored covariance of a ``PathChannel``; the stages themselves, including
 the block-diagonal subarray form, are assembled in ``fdiab.scenario``.
 
-Baseband stages are per subcarrier: dominant singular vectors of the
-RF-effective channel for point-to-point links, zero forcing across users at
-the multiuser transmitter, and an MMSE combiner that whitens residual
-self-interference plus noise at the full-duplex receiver.
+Baseband stages are per subcarrier: zero forcing across users at the
+multiuser transmitter, and an MMSE combiner that whitens residual
+self-interference plus noise at the full-duplex receiver. The donor needs
+none (see ``fdiab.scenario.BackhaulLinkDesign``).
 
 Determinism: eigen/singular vectors are rotated so their first significant
 entry is real and positive before any phase extraction.
@@ -67,7 +67,7 @@ def bb_svd(effective: np.ndarray, num_streams: int):
 
     Returns (precoder (K, N_tx_rf, N_s), combiner (K, N_rx_rf, N_s)); the
     combiner^H @ H_eff @ precoder product is diagonal with the top singular
-    values.
+    values. Used only as a reference: as the donor's precoder it changes no rate.
     """
     if effective.ndim != 3:
         raise DimensionError("effective channel must have shape (K, N_rx_rf, N_tx_rf)")
@@ -92,7 +92,8 @@ def zf_bb_precoder(effective: np.ndarray) -> np.ndarray:
     if u > m:
         raise ConfigurationError(f"zero forcing needs at least {u} RF chains, got {m}")
     s = np.linalg.svd(effective, compute_uv=False)
-    cond = s[:, 0] / np.where(s[:, -1] > 0, s[:, -1], np.inf)
+    # an exactly singular subcarrier has an infinite condition number
+    cond = np.divide(s[:, 0], s[:, -1], out=np.full(k, np.inf), where=s[:, -1] > 0)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > ZF_COND_LIMIT:
         raise NearSingularError("multiuser effective channel is rank deficient",
@@ -135,23 +136,14 @@ def mmse_bb_combiner(desired: np.ndarray, rsi_estimate: np.ndarray | None,
     return signal_power * np.linalg.solve(r, desired)
 
 
-def normalize_power(rf_precoder: np.ndarray, bb_precoder: np.ndarray, num_streams: int,
-                    equal_streams: bool = False) -> np.ndarray:
-    """Rescale baseband matrices so ||rf @ bb[k]||_F^2 = num_streams on every subcarrier.
+def normalize_power(rf_precoder: np.ndarray, bb_precoder: np.ndarray) -> np.ndarray:
+    """Scale each column of ``bb_precoder`` so that rf @ bb[k] has unit-power columns.
 
-    With ``equal_streams`` each column of the coupled precoder is scaled to
-    power num_streams / N_s-columns individually (equal allocation across
-    streams); otherwise one global factor per subcarrier is used.
+    One stream per column: ||rf @ bb[k]||_F^2 is the stream count on every subcarrier.
     """
     # ||rf @ b||^2 = b^H (rf^H rf) b: per-column powers from the N_rf x N_rf Gram
     gram = rf_precoder.conj().T @ rf_precoder
     powers = np.sum(bb_precoder.conj() * (gram @ bb_precoder), axis=1).real   # (K, N_s)
-    if equal_streams:
-        if np.any(powers <= 0):
-            raise DegenerateInputError("coupled precoder has a zero column")
-        norms = np.sqrt(powers)[:, None, :]
-        return bb_precoder * (np.sqrt(num_streams / bb_precoder.shape[2]) / norms)
-    totals = np.sum(powers, axis=1)
-    if np.any(totals <= 0):
-        raise DegenerateInputError("coupled precoder is zero on some subcarrier")
-    return bb_precoder * (np.sqrt(num_streams) / np.sqrt(totals))[:, None, None]
+    if np.any(powers <= 0):
+        raise DegenerateInputError("coupled precoder has a zero column")
+    return bb_precoder / np.sqrt(powers)[:, None, :]

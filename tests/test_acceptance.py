@@ -66,7 +66,7 @@ def test_criterion_1_property_suite(tmp_path):
         assert np.all(f_sub[off, col] == 0.0)
 
     bb = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
-    bb = normalize_power(f_rf, bb, 4)
+    bb = normalize_power(f_rf, bb)
     assert np.allclose(np.linalg.norm(f_rf[None] @ bb, axis=(1, 2)) ** 2, 4.0, atol=1e-12)
 
     eff = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))

@@ -7,8 +7,10 @@ from fdiab.channel import draw_cee_noise, estimation_error
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
+from fdiab.link import StreamRates
 from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, _rf_factored,
                             build_scenario, draw_realization, full_digital_backhaul_se)
+from fdiab.transceiver import bb_svd
 from oracles import frequency_response, rf_stage_fully_connected, rf_stage_subarray
 
 SMALL = replace(
@@ -114,6 +116,36 @@ def test_rf_stages_shared_within_a_drop():
     assert not (two.f_rf.flags.writeable or fc.combiners[0].flags.writeable)
     fresh = draw_realization(scn, _seeder(1, "test", 0))
     assert np.array_equal(BackhaulLinkDesign(scn, fresh, sa, "subarray", 4).f_rf, two.f_rf)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_donor_svd_precoder_leaves_every_rate_unchanged(drop, structure):
+    # the donor sends one stream per chain, so the right singular vectors of
+    # its effective channel form a unitary V[k]: A V has the same rates as A
+    scn, real = drop
+    access = AccessLinkDesign(scn, real, structure)
+    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+    eff = real.backhaul.effective(bh.w_rf, bh.f_rf)
+    svd = bb_svd(eff, scn.users)[0]
+    totals = np.linalg.norm(bh.f_rf[None] @ svd, axis=(1, 2)) ** 2
+    svd = svd * np.sqrt(scn.users / totals)[:, None, None]
+    old = StreamRates(eff @ svd, bh.g_si0 @ access.f_bb, bh.noise_gram)
+    assert not np.allclose(eff @ svd, bh.des0)
+    cee = draw_cee_noise(np.random.default_rng(3), (scn.num_subcarriers, 2 * scn.users,
+                                                    scn.users))
+    error = estimation_error(bh.g_si0, 0.1, cee) @ access.f_bb
+    # the operating points at -10 and 20 dB with ideal phase shifters
+    for snr in (scn.snr_point(-10.0), scn.snr_point(20.0)):
+        a = snr.stream_power(scn.users) / snr.noise_power
+        b = a * scn.si_power_advantage
+        pairs = [(bh.rates.rate(bh.rates.aware, a, b), old.rate(old.aware, a, b)),
+                 (bh.rates.rate(bh.combiner(0.1, cee), a, b),
+                  old.rate(old.combiner(error), a, b)),
+                 (bh.rates.rate(bh.rates.blind_combiner(), a, b),
+                  old.rate(old.blind_combiner(), a, b)),
+                 (bh.rates.interference_free(a), old.interference_free(a))]
+        for new, ref in pairs:
+            assert np.allclose(new.per_subcarrier, ref.per_subcarrier, rtol=1e-12, atol=0)
 
 
 def test_access_zero_forcing_holds(drop):

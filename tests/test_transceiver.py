@@ -184,13 +184,15 @@ def test_zf_residual_multiuser_interference():
 
 
 def test_zf_near_singular_error():
-    eff = np.zeros((2, 3, 4), dtype=complex)
-    eff[:, 0] = [1, 0, 0, 0]
-    eff[:, 1] = [1, 1e-12, 0, 0]
-    eff[:, 2] = [0, 0, 1, 0]
-    with pytest.raises(NearSingularError) as err:
-        zf_bb_precoder(eff)
-    assert err.value.condition_number is None or err.value.condition_number > 1e8
+    nearly_parallel = [[1, 0, 0, 0], [1, 1e-12, 0, 0], [0, 0, 1, 0]]
+    # an exactly singular subcarrier: parallel users, or a user with a zero row
+    parallel = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+    zero_row = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    for rows in (nearly_parallel, parallel, zero_row):
+        eff = np.repeat(np.array(rows, dtype=complex)[None], 2, axis=0)
+        with np.errstate(all="raise"), pytest.raises(NearSingularError) as err:
+            zf_bb_precoder(eff)
+        assert err.value.condition_number is None or err.value.condition_number > 1e8
 
 
 def test_mmse_high_snr_converges_to_pseudo_inverse():
@@ -236,8 +238,9 @@ def test_normalize_power_equality_per_subcarrier():
     rng = np.random.default_rng(15)
     rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (16, 4)))
     bb = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
-    out = normalize_power(rf, bb, 4)
+    out = normalize_power(rf, bb)
     norms = np.linalg.norm(rf[None] @ out, axis=(1, 2)) ** 2
+    # four streams at unit power each: total power N_s = 4 on every subcarrier
     assert np.allclose(norms, 4.0, atol=1e-12)
 
 
@@ -245,21 +248,19 @@ def test_normalize_power_equal_streams():
     rng = np.random.default_rng(16)
     rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (16, 4)))
     bb = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
-    out = normalize_power(rf, bb, 4, equal_streams=True)
-    coupled = rf[None] @ out
+    coupled = rf[None] @ normalize_power(rf, bb)
     # four users, four streams: per-stream power N_s / U = 1 under equal allocation
     assert np.allclose(np.linalg.norm(coupled, axis=1) ** 2, 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(coupled, axis=(1, 2)) ** 2, 4.0, atol=1e-12)
 
 
 def test_normalize_power_scale_invariance():
     rng = np.random.default_rng(17)
     rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (8, 2)))
     bb = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    assert np.allclose(normalize_power(rf, bb, 2), normalize_power(rf, 2.0 * bb, 2), atol=1e-14)
+    assert np.allclose(normalize_power(rf, bb), normalize_power(rf, 2.0 * bb), atol=1e-14)
     with pytest.raises(DegenerateInputError):
-        normalize_power(rf, np.zeros_like(bb), 2)
-    with pytest.raises(DegenerateInputError):
-        normalize_power(rf, np.zeros_like(bb), 2, equal_streams=True)
+        normalize_power(rf, np.zeros_like(bb))
 
 
 def test_design_determinism():
