@@ -2,10 +2,11 @@
 """Insertion-loss budgets of the analog beamforming networks.
 
 Every signal path crosses one divider cascade, one phase shifter, and one
-combiner cascade; an X-way stage costs ceil(log2 X) two-way stages.
+combiner cascade; an X-way stage costs ceil(log2 X) two-way stages. A
+subarray network's path crosses one of its fully connected blocks.
 """
 
-from fdiab import loss_fully_connected, loss_subarray
+from fdiab import RfNetwork, loss_fully_connected
 
 N_T = N_R = 256
 N_RF_TX, N_RF_RX, USERS = 4, 8, 4
@@ -16,11 +17,11 @@ rows = [
     ("donor tx, fully connected",
      lambda kind: loss_fully_connected("tx", N_T, N_RF_TX, kind)),
     ("donor tx, subarray",
-     lambda kind: loss_subarray("tx", N_T, N_RF_TX, USERS, kind)),
+     lambda kind: RfNetwork.partition(N_T, N_RF_TX, USERS).budget("tx", kind)),
     ("node rx, fully connected",
      lambda kind: loss_fully_connected("rx", N_R, N_RF_RX, kind)),
     ("node rx, subarray",
-     lambda kind: loss_subarray("rx", N_R, N_RF_RX, USERS, kind)),
+     lambda kind: RfNetwork.partition(N_R, N_RF_RX, USERS).budget("rx", kind)),
     ("user rx (64 elements, 1 chain)",
      lambda kind: loss_fully_connected("rx", 64, 1, kind)),
 ]

@@ -133,7 +133,8 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
         rows.append(_row("fig6", "subarray", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
                          0.0, chains, "ideal", trial,
                          results["fd_perfect_sic"].se_bps_hz, 0.0))
-    # the interference-free reference never reads the access link's design
+    # the design reads the access link to build its g_si0, but its one row,
+    # the interference-free rate, does not depend on it
     fc = BackhaulLinkDesign(scn, real, access, "fully-connected", cfg.rx_chains_per_subarray)
     ideal_fc = fc.evaluate("ideal", snr)
     rows.append(_row("fig6", "fully-connected", "backhaul", "fd_perfect_sic",

@@ -11,6 +11,8 @@ with P_D = 0.6 dB and P_C = 3.6 dB per stage, and P_PS = -2.3 dB (active)
 or 8.8 dB (passive). The resulting linear amplitude factor 1/sqrt(L_RF)
 multiplies a transmit network's RF matrix; a receive network's factor
 cancels against the noise it also scales (see ``fdiab.link``).
+An ``RfNetwork`` (fully connected: one block; subarray: one block per
+subarray) prices a path as one of its fully connected blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .arrays import partition_subarrays
 from .errors import ConfigurationError
 
 PD_PER_STAGE_DB = 0.6
@@ -78,12 +81,22 @@ def loss_fully_connected(side: str, n_ant: int, n_rf: int, ps_kind: str) -> Rfil
     raise ConfigurationError("side must be 'tx' or 'rx'")
 
 
-def loss_subarray(side: str, n_ant: int, n_rf: int, num_subarrays: int,
-                  ps_kind: str) -> RfilBudget:
-    """Per-path loss of a subarray stage: ``num_subarrays`` disjoint fully
-    connected blocks, each joining N_ant/S antennas to N_rf/S chains."""
-    for count, what in ((n_ant, "antennas"), (n_rf, "RF chains")):
-        if num_subarrays < 1 or count % num_subarrays != 0:
-            raise ConfigurationError(f"subarray-divisibility: {num_subarrays} subarrays "
-                                     f"do not divide {count} {what}")
-    return loss_fully_connected(side, n_ant // num_subarrays, n_rf // num_subarrays, ps_kind)
+@dataclass(frozen=True)
+class RfNetwork:
+    """Disjoint fully connected ``blocks`` of a panel, each joined to ``chains``
+    RF chains; chain c of block b is RF column b * chains + c."""
+
+    blocks: tuple[range, ...]
+    chains: int
+
+    @classmethod
+    def partition(cls, antennas: int, chains: int, blocks: int) -> "RfNetwork":
+        """``antennas`` elements and ``chains`` chains in ``blocks`` equal parts."""
+        if blocks < 1 or chains % blocks != 0:
+            raise ConfigurationError(f"subarray-divisibility: {blocks} subarrays "
+                                     f"do not divide {chains} RF chains")
+        return cls(partition_subarrays(antennas, blocks), chains // blocks)
+
+    def budget(self, side: str, ps_kind: str) -> RfilBudget:
+        """Per-path loss on the ``"tx"`` or ``"rx"`` side: a path crosses one block."""
+        return loss_fully_connected(side, len(self.blocks[0]), self.chains, ps_kind)

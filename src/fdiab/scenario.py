@@ -3,7 +3,7 @@
 A drop consists of the donor-to-IAB backhaul channel, one access channel per
 user, and the self-interference channel between the co-located IAB panels.
 ``AccessLinkDesign`` and ``BackhaulLinkDesign`` assemble the RF stages
-(eigenvector phase projections, optionally block diagonal), the baseband
+(eigenvector phase projections over an ``RfNetwork``'s blocks), the baseband
 stages (one equal-power stream per donor chain, zero forcing across access
 users, MMSE combining against residual self-interference), and evaluate
 spectral efficiency per phase-shifter kind and SNR point under every duplex
@@ -12,31 +12,32 @@ mode.
 Every transmitter has one RF chain per user, one stream each. Only the
 transmit-side insertion loss enters the rates, as a scalar factor on the
 effective channels: the receive-side loss cancels (see ``fdiab.link``) and
-shows only in the budgets. Designs that are scale invariant (RF stages, ZF)
-are computed once per structure. So are the backhaul's
-``StreamRates``. An RF stage that several designs of a drop share (a user's
-combiner in both structures, the donor stage at every receive chain count)
-is built once per drop (``Realization.rf_stage``). A full-duplex combiner is
-a value the caller passes to ``BackhaulLinkDesign.evaluate``: the one that
-knows the interference (the default), one designed from an erroneous
-estimate (``combiner``, factored once per estimation error) or one blind to
-it (``rates.blind_combiner()``). Every backhaul rate then follows in closed
+shows only in the budgets, which each ``RfNetwork`` (``Scenario.network``)
+prices. Designs that are scale invariant (RF stages, ZF) are computed once
+per structure. So are the backhaul's ``StreamRates``. A backhaul or user
+stage is built once per (channel, side, network) of a drop
+(``Realization.rf_stage``): a user's combiner serves both structures and the
+donor stage every receive chain count. A full-duplex combiner is a value
+the caller passes to ``BackhaulLinkDesign.evaluate``: the one that knows the
+interference (the default), one designed from an erroneous estimate
+(``combiner``, factored once per estimation error) or one blind to it
+(``rates.blind_combiner()``). Every backhaul rate then follows in closed
 form from two scalars per operating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .arrays import ArrayGeometry, partition_subarrays
+from .arrays import ArrayGeometry
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
                       ci_path_loss, estimation_error, sample_cluster_geometry,
                       si_channel_parts)
 from .link import CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates, se_access
-from .rfil import RfilBudget, loss_fully_connected, loss_subarray
+from .rfil import RfilBudget, RfNetwork
 from .transceiver import normalize_power, phase_project, top_eigvecs_factored, zf_bb_precoder
 # unused here; the benchmark's tracer still wraps these three names in this module
 from .link import se_backhaul  # noqa: F401
@@ -59,8 +60,6 @@ class Scenario:
     iab_tx_geom: ArrayGeometry
     iab_rx_geom: ArrayGeometry
     user_geom: ArrayGeometry
-    donor_blocks: tuple[range, ...]
-    iab_blocks: tuple[range, ...]
     cluster_cfg: ClusterConfig
     access_cluster_cfg: ClusterConfig
     si_cfg: SiChannelConfig
@@ -68,6 +67,12 @@ class Scenario:
 
     def snr_point(self, snr_db: float) -> SnrPoint:
         return SnrPoint(snr_db, num_users=self.users, num_subcarriers=self.num_subcarriers)
+
+    def network(self, geom: ArrayGeometry, chains: int, structure: str) -> RfNetwork:
+        """The ``structure`` network joining ``chains`` RF chains to ``geom``'s
+        panel: one fully connected block, or one subarray per user."""
+        blocks = 1 if structure == "fully-connected" else self.users
+        return RfNetwork.partition(geom.num_elements, chains, blocks)
 
     @property
     def si_power_advantage(self) -> float:
@@ -103,8 +108,6 @@ def build_scenario(cfg: "ExperimentConfig") -> Scenario:
     return Scenario(
         num_subcarriers=cfg.subcarriers, users=cfg.users, wavelength=lam, donor_geom=donor,
         iab_tx_geom=iab_tx, iab_rx_geom=iab_rx, user_geom=user,
-        donor_blocks=partition_subarrays(donor.num_elements, cfg.users),
-        iab_blocks=partition_subarrays(iab_tx.num_elements, cfg.users),
         cluster_cfg=cluster, access_cluster_cfg=access_cluster, si_cfg=si,
         backhaul_pl_db=ci_path_loss(cfg.backhaul_distance_m, cfg.carrier_hz,
                                     cfg.path_loss_exponent))
@@ -120,14 +123,12 @@ class Realization:
     si: SiChannelParts
     _rf_stages: dict = field(default_factory=dict, init=False, repr=False)
 
-    def rf_stage(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The RF stage stored under ``key``, built by ``build()`` on first use.
-
-        An RF stage depends on the channels alone, so every design of the
-        drop that needs it shares one read-only copy.
-        """
+    def rf_stage(self, channel: PathChannel, side: str, net: RfNetwork) -> np.ndarray:
+        """``rf_stage`` of ``channel``'s ``side`` on ``net``, built on first use;
+        every design of the drop that needs it shares one read-only copy."""
+        key = (channel, side, net)
         if key not in self._rf_stages:
-            stage = build()
+            stage = rf_stage(channel.covariance_factors(side), net)
             stage.flags.writeable = False
             self._rf_stages[key] = stage
         return self._rf_stages[key]
@@ -146,18 +147,17 @@ def draw_realization(scn: Scenario, seeder: Seeder) -> Realization:
     return Realization(backhaul, access, si.attenuated(scn.si_cfg.pre_digital_sic_db))
 
 
-def _rf_factored(factors: Sequence[tuple[np.ndarray, np.ndarray]],
-                 blocks: Sequence[range], n_rf: int) -> np.ndarray:
-    """Phase-projected dominant-eigenvector RF stage via path-space cores.
+def rf_stage(factors: tuple[np.ndarray, np.ndarray], net: RfNetwork) -> np.ndarray:
+    """Phase-projected dominant-eigenvector RF stage of ``net`` via the path-space core.
 
-    Block b holds the ``n_rf`` columns designed from ``factors[b]``, a
-    ``covariance_factors`` pair, for the elements ``blocks[b]`` alone; a fully
-    connected stage is one whole-panel block per designing channel.
+    Block b holds the ``net.chains`` columns designed from ``factors``, a
+    ``covariance_factors`` pair, for the elements ``net.blocks[b]`` alone.
     """
-    out = np.zeros((len(factors[0][0]), len(blocks) * n_rf), dtype=complex)
-    for b, ((basis, core), block) in enumerate(zip(factors, blocks, strict=True)):
-        top = top_eigvecs_factored(basis[block], core, n_rf)
-        out[block, b * n_rf:(b + 1) * n_rf] = phase_project(top)
+    basis, core = factors
+    n = net.chains
+    out = np.zeros((len(basis), len(net.blocks) * n), dtype=complex)
+    for b, block in enumerate(net.blocks):
+        out[block, b * n:(b + 1) * n] = phase_project(top_eigvecs_factored(basis[block], core, n))
     return out
 
 
@@ -165,19 +165,15 @@ class AccessLinkDesign:
     """Multiuser downlink of the IAB node: per-user RF stages plus ZF baseband."""
 
     def __init__(self, scn: Scenario, real: Realization, structure: str):
-        self.scn = scn
         self.structure = structure
-        u = scn.users
-        # one transmit column per user, designed from that user's channel
-        if structure == "fully-connected":
-            blocks = (range(scn.iab_tx_geom.num_elements),) * u
-        else:
-            blocks = scn.iab_blocks
-        f_rf = _rf_factored([ch.covariance_factors("tx") for ch in real.access], blocks, 1)
-        user_panel = (range(scn.user_geom.num_elements),)
-        combiners = [real.rf_stage(("user", u), lambda ch=ch: _rf_factored(
-                         [ch.covariance_factors("rx")], user_panel, 1))
-                     for u, ch in enumerate(real.access)]
+        self.tx_net = tx = scn.network(scn.iab_tx_geom, scn.users, structure)
+        self.user_net = RfNetwork.partition(scn.user_geom.num_elements, 1, 1)
+        # transmit column u is the one-chain stage of user u's channel over
+        # the block that carries chain u
+        f_rf = np.hstack([rf_stage(ch.covariance_factors("tx"),
+                                   RfNetwork((tx.blocks[u // tx.chains],), 1))
+                          for u, ch in enumerate(real.access)])
+        combiners = [real.rf_stage(ch, "rx", self.user_net) for ch in real.access]
         self.f_rf, self.combiners = f_rf, combiners
         eff = np.concatenate([ch.effective(w, f_rf) for ch, w in zip(real.access, combiners)],
                              axis=1)                             # (K, U, U)
@@ -187,16 +183,12 @@ class AccessLinkDesign:
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(IAB transmit, user receive) per-path budgets."""
-        scn = self.scn
-        n_iab, u = scn.iab_tx_geom.num_elements, scn.users
-        if self.structure == "fully-connected":
-            return (loss_fully_connected("tx", n_iab, u, ps_kind),
-                    loss_fully_connected("rx", scn.user_geom.num_elements, 1, ps_kind))
-        # known defect: the user side prices the user's combiner over an IAB
-        # subarray of N_iab / U elements, not over the user's own array; the
-        # two agree only when the arrays have equal size, as in the defaults
-        return (loss_subarray("tx", n_iab, u, u, ps_kind),
-                loss_subarray("rx", n_iab, u, u, ps_kind))
+        # known defect (ROADMAP item 5): in the subarray structure the user
+        # side prices the user's combiner over an IAB subarray of N_iab / U
+        # elements, not over the user's own array; the two agree only when the
+        # arrays have equal size, as in the defaults
+        user = self.user_net if self.structure == "fully-connected" else self.tx_net
+        return self.tx_net.budget("tx", ps_kind), user.budget("rx", ps_kind)
 
     def evaluate(self, ps_kind: str, snr: SnrPoint) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point."""
@@ -223,22 +215,12 @@ class BackhaulLinkDesign:
                  structure: str, chains_per_subarray: int):
         self.scn = scn
         self.access = access
-        self.structure = structure
-        self.chains_per_subarray = chains_per_subarray
         ns = scn.users                                           # one stream per user
-        m = ns * chains_per_subarray
+        self.tx_net = scn.network(scn.donor_geom, ns, structure)
+        self.rx_net = scn.network(scn.iab_rx_geom, ns * chains_per_subarray, structure)
         ch = real.backhaul
-        if structure == "fully-connected":
-            tx_blocks, n_tx = (range(scn.donor_geom.num_elements),), ns
-            rx_blocks, n_rx = (range(scn.iab_rx_geom.num_elements),), m
-        else:
-            tx_blocks, n_tx = scn.donor_blocks, 1
-            rx_blocks, n_rx = scn.iab_blocks, chains_per_subarray
-        # one core per side, shared by all of that side's blocks; the donor
-        # stage does not depend on the receive chain count
-        self.f_rf = real.rf_stage(("donor", structure), lambda: _rf_factored(
-            [ch.covariance_factors("tx")] * len(tx_blocks), tx_blocks, n_tx))
-        self.w_rf = _rf_factored([ch.covariance_factors("rx")] * len(rx_blocks), rx_blocks, n_rx)
+        self.f_rf = real.rf_stage(ch, "tx", self.tx_net)
+        self.w_rf = real.rf_stage(ch, "rx", self.rx_net)
         self.f_bb = normalize_power(self.f_rf, np.eye(ns, dtype=complex)[None])
         self.des0 = ch.effective(self.w_rf, self.f_rf) @ self.f_bb   # (K, M, Ns)
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
@@ -247,14 +229,7 @@ class BackhaulLinkDesign:
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
-        scn = self.scn
-        n_donor, n_iab, u = scn.donor_geom.num_elements, scn.iab_rx_geom.num_elements, scn.users
-        m = u * self.chains_per_subarray
-        if self.structure == "fully-connected":
-            return (loss_fully_connected("tx", n_donor, u, ps_kind),
-                    loss_fully_connected("rx", n_iab, m, ps_kind))
-        return (loss_subarray("tx", n_donor, u, u, ps_kind),
-                loss_subarray("rx", n_iab, m, u, ps_kind))
+        return self.tx_net.budget("tx", ps_kind), self.rx_net.budget("rx", ps_kind)
 
     def combiner(self, sigma_e: float, cee_noise: np.ndarray) -> CombinerFactors:
         """Factors of the full-duplex combiner designed from the SI estimate.

@@ -1,7 +1,7 @@
 """Dense reference implementations of the channel and the RF stages.
 
 The library keeps only the factored forms (``PathChannel``,
-``SiChannelParts``, ``scenario._rf_factored``). The functions here build the
+``SiChannelParts``, ``scenario.rf_stage``). The functions here build the
 full (D, N_rx, N_tx) delay-tap and (K, N_rx, N_tx) subcarrier tensors and
 design RF stages from explicit sample covariances, so tests can compare the
 factored code against a direct evaluation of the model on small arrays.

@@ -18,8 +18,8 @@ from fdiab.channel import (ClusterConfig, PathChannel, draw_cee_noise,
 from fdiab.config import ExperimentConfig
 from fdiab.harness import run_experiment, write_csv
 from fdiab.link import SnrPoint, duplex_rates, se_backhaul
-from fdiab.rfil import loss_fully_connected, loss_subarray
-from fdiab.scenario import _rf_factored
+from fdiab.rfil import RfNetwork, loss_fully_connected
+from fdiab.scenario import rf_stage
 from fdiab.transceiver import mmse_bb_combiner, normalize_power, zf_bb_precoder
 from oracles import WidebandChannel, assemble_delay_taps, to_frequency
 
@@ -56,11 +56,11 @@ def test_criterion_1_property_suite(tmp_path):
     channel = PathChannel(sample_cluster_geometry(cfg, 2), ArrayGeometry(4, 4),
                           ArrayGeometry(4, 4), cfg, 16)
     factors = channel.covariance_factors("tx")
-    f_rf = _rf_factored([factors], (range(16),), 4)
+    f_rf = rf_stage(factors, RfNetwork((range(16),), 4))
     assert np.allclose(np.abs(f_rf), 1.0, atol=1e-12)
 
     part = partition_subarrays(16, 4)
-    f_sub = _rf_factored([factors] * 4, part, 1)
+    f_sub = rf_stage(factors, RfNetwork(part, 1))
     for col in range(4):
         off = np.setdiff1d(np.arange(16), np.asarray(part[col]))
         assert np.all(f_sub[off, col] == 0.0)
@@ -131,7 +131,7 @@ def test_criterion_1_property_suite(tmp_path):
 def test_criterion_2_rfil_closed_forms():
     passive, active = "passive", "active"
     fc_tx = loss_fully_connected("tx", 256, 4, passive).total_db
-    sa_tx = loss_subarray("tx", 256, 4, 4, passive).total_db
+    sa_tx = RfNetwork.partition(256, 4, 4).budget("tx", passive).total_db
     assert abs(fc_tx - 20.8) < 1e-12
     assert abs(sa_tx - 12.4) < 1e-12
     for side, n_ant, n_rf in (("tx", 256, 4), ("rx", 256, 8), ("tx", 64, 2)):

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from fdiab.arrays import partition_subarrays
 from fdiab.channel import draw_cee_noise, perturb_effective_channel
 from fdiab.config import PS_KINDS, STRUCTURES, ExperimentConfig
 from fdiab.harness import _seeder
@@ -163,12 +164,14 @@ def test_rf_and_zero_forcing_stages_of_production_designs(drop):
     scn = build_scenario(cfg)
     real = draw_realization(scn, _seeder(seed, "property", 0))
     chains = cfg.rx_chains_per_subarray
+    iab_blocks = partition_subarrays(cfg.iab_elements, cfg.users)
+    donor_blocks = partition_subarrays(cfg.donor_elements, cfg.users)
     for structure in STRUCTURES:
         access = AccessLinkDesign(scn, real, structure)
         backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
-        for mat, support in ((access.f_rf, _support(scn.iab_blocks, 1, structure)),
-                             (backhaul.f_rf, _support(scn.donor_blocks, 1, structure)),
-                             (backhaul.w_rf, _support(scn.iab_blocks, chains, structure))):
+        for mat, support in ((access.f_rf, _support(iab_blocks, 1, structure)),
+                             (backhaul.f_rf, _support(donor_blocks, 1, structure)),
+                             (backhaul.w_rf, _support(iab_blocks, chains, structure))):
             assert mat.shape == support.shape
             assert np.all(mat[~support] == 0.0)
             assert np.allclose(np.abs(mat[support]), 1.0, rtol=0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdiab.errors import ConfigurationError
-from fdiab.rfil import PS_KINDS, RfilBudget, loss_fully_connected, loss_subarray
+from fdiab.rfil import PS_KINDS, RfilBudget, RfNetwork, loss_fully_connected
 
 PASSIVE, ACTIVE, IDEAL = "passive", "active", "ideal"
 
@@ -15,13 +15,13 @@ def test_fully_connected_tx_closed_form():
 
 def test_subarray_tx_closed_form():
     # 0.6*ceil(log2 64) + 8.8 = 3.6 + 8.8
-    budget = loss_subarray("tx", 256, 4, 4, PASSIVE)
+    budget = RfNetwork.partition(256, 4, 4).budget("tx", PASSIVE)
     assert abs(budget.total_db - 12.4) < 1e-12
 
 
 def test_iab_rx_subarray_closed_form():
     # 0.6*ceil(log2 2) - 2.3 + 3.6*ceil(log2 64) = 0.6 - 2.3 + 21.6
-    budget = loss_subarray("rx", 256, 8, 4, ACTIVE)
+    budget = RfNetwork.partition(256, 8, 4).budget("rx", ACTIVE)
     assert abs(budget.total_db - 19.9) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_subarray_tx_below_fully_connected_tx():
     for n_t, n_rf, u in ((256, 4, 4), (128, 8, 8), (64, 2, 2)):
         for kind in ("active", "passive"):
             fc = loss_fully_connected("tx", n_t, n_rf, kind).total_db
-            sa = loss_subarray("tx", n_t, n_rf, u, kind).total_db
+            sa = RfNetwork.partition(n_t, n_rf, u).budget("tx", kind).total_db
             assert sa < fc
 
 
@@ -83,10 +83,10 @@ def test_twenty_db_budget_scales_amplitude_by_tenth():
 def test_invalid_counts_raise():
     with pytest.raises(ConfigurationError):
         loss_fully_connected("tx", 2, 4, PASSIVE)
-    with pytest.raises(ConfigurationError):
-        loss_subarray("tx", 10, 1, 3, PASSIVE)
-    with pytest.raises(ConfigurationError):
-        loss_subarray("rx", 64, 6, 4, PASSIVE)
+    with pytest.raises(ConfigurationError, match="subarray-divisibility"):
+        RfNetwork.partition(10, 1, 3)
+    with pytest.raises(ConfigurationError, match="subarray-divisibility"):
+        RfNetwork.partition(64, 6, 4)
     with pytest.raises(ConfigurationError):
         loss_fully_connected("sideways", 8, 2, PASSIVE)
     with pytest.raises(ConfigurationError):
@@ -102,6 +102,6 @@ def test_subarray_is_fully_connected_blocks(side, kind):
     for _ in range(20):
         s, c = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         a = c * int(rng.integers(1, 33))
-        sub = loss_subarray(side, s * a, s * c, s, kind)
+        sub = RfNetwork.partition(s * a, s * c, s).budget(side, kind)
         fc = loss_fully_connected(side, a, c, kind)
         assert (sub.total_db, sub.breakdown) == (fc.total_db, fc.breakdown)

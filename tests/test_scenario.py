@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from fdiab.arrays import partition_subarrays
 from fdiab.channel import draw_cee_noise, estimation_error
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
 from fdiab.link import StreamRates
-from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, _rf_factored,
-                            build_scenario, draw_realization, full_digital_backhaul_se)
+from fdiab.rfil import PS_KINDS, RfNetwork, loss_fully_connected
+from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, build_scenario,
+                            draw_realization, full_digital_backhaul_se, rf_stage)
 from fdiab.transceiver import bb_svd
 from oracles import frequency_response, rf_stage_fully_connected, rf_stage_subarray
 
@@ -64,25 +66,27 @@ def test_designs_respect_rf_constraints(drop, structure):
 def test_rf_stages_match_dense_oracle(drop, side):
     scn, real = drop
     freq = frequency_response(real.backhaul)
-    blocks = scn.donor_blocks if side == "tx" else scn.iab_blocks
+    geom = scn.donor_geom if side == "tx" else scn.iab_rx_geom
+    blocks = partition_subarrays(geom.num_elements, scn.users)
     factors = real.backhaul.covariance_factors(side)
     panel = (range(blocks[-1].stop),)
     for n_rf in (1, 2):
-        assert np.allclose(_rf_factored([factors], panel, n_rf),
+        assert np.allclose(rf_stage(factors, RfNetwork(panel, n_rf)),
                            rf_stage_fully_connected(freq, side, n_rf), rtol=0, atol=1e-8)
-        assert np.allclose(_rf_factored([factors] * len(blocks), blocks, n_rf),
+        assert np.allclose(rf_stage(factors, RfNetwork(blocks, n_rf)),
                            rf_stage_subarray(freq, blocks, side, n_rf), rtol=0, atol=1e-8)
     # the access stages as designed: column u of the transmit stage comes from
     # user u's channel, over the whole panel or over subarray u alone
     if side == "tx":
         fully = AccessLinkDesign(scn, real, "fully-connected").f_rf
         per_user = AccessLinkDesign(scn, real, "subarray").f_rf
+        iab_blocks = partition_subarrays(scn.iab_tx_geom.num_elements, scn.users)
         for b, ch in enumerate(real.access):
             freq_u = frequency_response(ch)
             assert np.allclose(fully[:, b], rf_stage_fully_connected(freq_u, "tx", 1)[:, 0],
                                rtol=0, atol=1e-8)
-            idx = np.asarray(scn.iab_blocks[b])
-            dense = rf_stage_subarray(freq_u, scn.iab_blocks, "tx", 1)
+            idx = np.asarray(iab_blocks[b])
+            dense = rf_stage_subarray(freq_u, iab_blocks, "tx", 1)
             assert np.allclose(per_user[idx, b], dense[idx, b], rtol=0, atol=1e-8)
     else:
         combiners = AccessLinkDesign(scn, real, "fully-connected").combiners
@@ -95,7 +99,8 @@ def test_subarray_designs_block_diagonal(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "subarray")
     bh = BackhaulLinkDesign(scn, real, access, "subarray", 2)
-    for mat, blocks in ((access.f_rf, scn.iab_blocks), (bh.f_rf, scn.donor_blocks)):
+    for mat, geom in ((access.f_rf, scn.iab_tx_geom), (bh.f_rf, scn.donor_geom)):
+        blocks = partition_subarrays(geom.num_elements, scn.users)
         for col in range(mat.shape[1]):
             block = np.asarray(blocks[col % len(blocks)])
             off = np.setdiff1d(np.arange(mat.shape[0]), block)
@@ -103,19 +108,44 @@ def test_subarray_designs_block_diagonal(drop):
 
 
 def test_rf_stages_shared_within_a_drop():
-    # the users' combiners serve both structures and the donor stage every
-    # receive chain count; each is built once per drop and read-only
+    # the users' combiners serve both structures, the donor stage every
+    # receive chain count and a receive stage every design with its network;
+    # each is built once per drop and read-only
     scn = build_scenario(SMALL)
     real = draw_realization(scn, _seeder(1, "test", 0))
     fc, sa = (AccessLinkDesign(scn, real, s) for s in ("fully-connected", "subarray"))
     assert all(a is b for a, b in zip(fc.combiners, sa.combiners, strict=True))
     two, four = (BackhaulLinkDesign(scn, real, sa, "subarray", n) for n in (2, 4))
     assert two.f_rf is four.f_rf and two.w_rf.shape != four.w_rf.shape
+    assert BackhaulLinkDesign(scn, real, fc, "subarray", 2).w_rf is two.w_rf
     assert not np.array_equal(BackhaulLinkDesign(scn, real, fc, "fully-connected", 2).f_rf,
                               two.f_rf)
-    assert not (two.f_rf.flags.writeable or fc.combiners[0].flags.writeable)
+    assert not (two.f_rf.flags.writeable or two.w_rf.flags.writeable
+                or fc.combiners[0].flags.writeable)
     fresh = draw_realization(scn, _seeder(1, "test", 0))
     assert np.array_equal(BackhaulLinkDesign(scn, fresh, sa, "subarray", 4).f_rf, two.f_rf)
+
+
+@pytest.mark.parametrize("chains", [2, 3])
+@pytest.mark.parametrize("ps_kind", PS_KINDS)
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_budgets_match_closed_forms(drop, structure, ps_kind, chains):
+    # a subarray path crosses one of the 4 blocks of a 16-element panel; the
+    # 2x2 user array has the size of an IAB subarray, so the user side is
+    # (4, 1) in both structures
+    scn, real = drop
+    assert (scn.donor_geom.num_elements, scn.iab_rx_geom.num_elements,
+            scn.user_geom.num_elements, scn.users) == (16, 16, 4, 4)
+    access = AccessLinkDesign(scn, real, structure)
+    backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
+    fully = structure == "fully-connected"
+    want = {backhaul: (("tx", 16, 4) if fully else ("tx", 4, 1),
+                       ("rx", 16, 4 * chains) if fully else ("rx", 4, chains)),
+            access: (("tx", 16, 4) if fully else ("tx", 4, 1), ("rx", 4, 1))}
+    for design, sides in want.items():
+        for got, (side, n_ant, n_rf) in zip(design.budgets(ps_kind), sides, strict=True):
+            ref = loss_fully_connected(side, n_ant, n_rf, ps_kind)
+            assert (got.total_db, got.breakdown) == (ref.total_db, ref.breakdown)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
