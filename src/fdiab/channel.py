@@ -37,10 +37,6 @@ from .errors import ConfigurationError, DimensionError, DomainError
 SPEED_OF_LIGHT = 3.0e8
 # fractional delays averaged over by expected_pulse_energy
 PULSE_ENERGY_GRID = 2048
-# subcarriers per batch of path-space cores in subcarrier_singular_values:
-# each holds about 2 MB of temporaries at P = 160 paths, and batches of 4 to
-# 128 measured equally fast
-SINGULAR_VALUE_CHUNK = 8
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -262,29 +258,28 @@ class PathChannel:
         H[k] = Q_rx R_rx diag(m[:, k]) R_tx^H Q_tx^H, so the singular values
         are those of the path-space core C[k] = R_rx diag(m[:, k]) R_tx^H.
         They are the square roots of the top eigenvalues of the Hermitian
-        Gram of C[k] on its smaller side. The cores are formed and reduced
-        ``SINGULAR_VALUE_CHUNK`` subcarriers at a time, so memory does not
+        Gram of C[k] on its smaller side. Each subcarrier's core, Gram and
+        eigenvalues are formed in turn, so the loop holds a few P x P
+        temporaries (0.4 MB each at P = 160 paths) and its memory does not
         grow with K. The Gram squares the spread of the values: its
         eigenvalues carry an absolute error of a few eps * s_1^2, so s_n is
         accurate to about eps * s_1^2 / s_n, and never worse than about
         sqrt(eps) * s_1. The relative error of s_n thus grows as
         (s_1 / s_n)^2, where an SVD of C[k] would keep it near eps.
         """
-        _, rr = np.linalg.qr(self.rx_basis)
-        _, rt = np.linalg.qr(self.tx_basis)
+        rr = np.linalg.qr(self.rx_basis, mode="r")
+        rt = np.linalg.qr(self.tx_basis, mode="r")
         rank = min(rr.shape[0], rt.shape[0])
         if num_streams > rank:
             raise ConfigurationError("more streams requested than channel rank supports")
         rt_h = rt.conj().T
+        receive_side = rr.shape[0] == rank
         out = np.empty((self.num_subcarriers, num_streams))
-        for start in range(0, self.num_subcarriers, SINGULAR_VALUE_CHUNK):
-            stop = start + SINGULAR_VALUE_CHUNK
-            core = (rr * self.weights[:, start:stop].T[:, None, :]) @ rt_h   # (c, a, b)
-            core_h = core.conj().transpose(0, 2, 1)
-            gram = core @ core_h if rr.shape[0] == rank else core_h @ core
-            top = np.linalg.eigvalsh(gram)[:, ::-1][:, :num_streams]
-            out[start:stop] = np.sqrt(np.maximum(top, 0.0))
-        return out
+        for k, m in enumerate(self.weights.T):
+            core = (rr * m) @ rt_h
+            gram = core @ core.conj().T if receive_side else core.conj().T @ core
+            out[k] = np.linalg.eigvalsh(gram)[::-1][:num_streams]
+        return np.sqrt(np.maximum(out, 0.0))
 
 
 def near_field_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
@@ -310,6 +305,15 @@ def near_field_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
     nt, nr = tx_geom.num_elements, rx_geom.num_elements
     rho = math.sqrt(nt * nr / float(np.sum(1.0 / r ** 2)))
     return rho * mat
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
+                wavelength: float) -> np.ndarray:
+    """near_field_los computed once per geometry and shared read-only by every draw."""
+    los = near_field_los(tx_geom, rx_geom, wavelength)
+    los.flags.writeable = False
+    return los
 
 
 @dataclass
@@ -352,9 +356,14 @@ def _si_nlos_config(cfg: SiChannelConfig, cluster_cfg: ClusterConfig) -> Cluster
 def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChannelConfig,
                      cluster_cfg: ClusterConfig, rng_seed, wavelength: float,
                      num_subcarriers: int) -> SiChannelParts:
-    """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS."""
+    """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS.
+
+    The LoS matrix depends on the geometry alone, so it is computed once per
+    (tx_geom, rx_geom, wavelength) and shared read-only; its near-field
+    warning fires once per geometry per process.
+    """
     rng = as_rng(rng_seed)
-    los = near_field_los(tx_geom, rx_geom, wavelength)
+    los = _shared_los(tx_geom, rx_geom, wavelength)
     nlos_cfg = _si_nlos_config(cfg, cluster_cfg)
     nlos = PathChannel(sample_cluster_geometry(nlos_cfg, rng), tx_geom, rx_geom, nlos_cfg,
                        num_subcarriers)

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (SINGULAR_VALUE_CHUNK, ClusterConfig, PathChannel,
-                           SiChannelConfig, _si_nlos_config,
+from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _si_nlos_config,
                            ci_path_loss, draw_cee_noise, near_field_los,
                            perturb_effective_channel, raised_cosine,
                            sample_cluster_geometry, si_channel_parts)
@@ -223,11 +224,11 @@ def test_singular_values_with_small_ratio_within_absolute_bound():
 
 @pytest.mark.parametrize("tx_shape, rx_shape", [((2, 3), (2, 2)), ((2, 2), (2, 3))],
                          ids=["receive-side-gram", "transmit-side-gram"])
-def test_singular_values_over_a_partial_last_chunk(tx_shape, rx_shape):
+def test_singular_values_on_both_gram_sides(tx_shape, rx_shape):
     # 6 paths on a 4-element side: the path-space core is 4 x 6 or 6 x 4
     cfg = small_cfg(num_taps=8)
     paths = sample_cluster_geometry(cfg, 21)
-    k = 2 * SINGULAR_VALUE_CHUNK + 5
+    k = 21
     pc = PathChannel(paths, ArrayGeometry(*tx_shape), ArrayGeometry(*rx_shape), cfg, k)
     sv = pc.subcarrier_singular_values(4)
     assert sv.shape == (k, 4)
@@ -242,6 +243,22 @@ def test_singular_values_beyond_the_rank_rejected():
     assert pc.subcarrier_singular_values(4).shape == (16, 4)
     with pytest.raises(ConfigurationError):
         pc.subcarrier_singular_values(5)
+
+
+@pytest.mark.parametrize("k", [32, 256])
+def test_singular_values_memory_does_not_grow_with_subcarriers(k):
+    # 40 paths on 64-element arrays: a few 40 x 40 temporaries at a time, at any K
+    cfg = ClusterConfig(num_clusters=5, rays_per_cluster=8, num_taps=16)
+    pc = PathChannel(sample_cluster_geometry(cfg, 7), ArrayGeometry(8, 8),
+                     ArrayGeometry(8, 8), cfg, k)
+    tracemalloc.start()
+    try:
+        sv = pc.subcarrier_singular_values(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = cfg.num_paths
+    assert peak - sv.nbytes < 8 * p * p * 16
 
 
 def test_covariance_factors_computed_once_per_side():

@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 
 from fdiab.arrays import partition_subarrays
-from fdiab.channel import draw_cee_noise, estimation_error
+from fdiab.channel import draw_cee_noise, estimation_error, near_field_los
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
@@ -39,6 +39,19 @@ def test_realizations_reproducible():
     assert np.array_equal(a.access[0].weights, b.access[0].weights)
     c = draw_realization(scn, _seeder(9, "test", 4))
     assert not np.array_equal(a.backhaul.weights, c.backhaul.weights)
+
+
+def test_near_field_los_shared_read_only_across_draws():
+    scn = build_scenario(SMALL)
+    a = draw_realization(scn, _seeder(9, "test", 3))
+    b = draw_realization(scn, _seeder(9, "test", 4))
+    assert a.si.los is b.si.los
+    assert not a.si.los.flags.writeable
+    with pytest.raises(ValueError):
+        a.si.los[0, 0] = 0.0
+    fresh = near_field_los(scn.iab_tx_geom, scn.iab_rx_geom, scn.wavelength)
+    assert fresh.flags.writeable
+    assert np.array_equal(a.si.los, fresh)
 
 
 def test_si_channel_carries_cancellation_budget(drop):
