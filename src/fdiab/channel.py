@@ -237,19 +237,18 @@ class PathChannel:
         (1/K) sum_k H[k]^H H[k] on the "tx" side and (1/K) sum_k H[k] H[k]^H
         on the "rx" side. The covariance of an element subset of that side
         takes the matching rows of the basis and the same core. The factors
-        are computed once per side and shared by every later call, read-only.
+        of both sides are computed on the first call, from one weight Gram
+        W W^H / K (the "tx" core takes its conjugate), and shared by every
+        later call, read-only.
         """
-        if side not in self._factors:
-            if side == "tx":
-                basis, other = self.tx_basis, self.rx_basis
-                core = (other.conj().T @ other) * self._weight_gram().conj()
-            elif side == "rx":
-                basis, other = self.rx_basis, self.tx_basis
-                core = (other.conj().T @ other) * self._weight_gram()
-            else:
-                raise ConfigurationError("side must be 'tx' or 'rx'")
-            core.flags.writeable = False
-            self._factors[side] = basis, core
+        if side not in ("tx", "rx"):
+            raise ConfigurationError("side must be 'tx' or 'rx'")
+        if not self._factors:
+            gram = self._weight_gram()
+            tx_core = (self.rx_basis.conj().T @ self.rx_basis) * gram.conj()
+            rx_core = (self.tx_basis.conj().T @ self.tx_basis) * gram
+            tx_core.flags.writeable = rx_core.flags.writeable = False
+            self._factors = {"tx": (self.tx_basis, tx_core), "rx": (self.rx_basis, rx_core)}
         return self._factors[side]
 
     def subcarrier_singular_values(self, num_streams: int) -> np.ndarray:

@@ -70,49 +70,64 @@ def _row(experiment, scheme, link, duplex, snr_db, sigma_e, chains, ps_kind, tri
             "rfil_db": float(rfil_db)}
 
 
+# A trial draws its channels once and builds each link design in its own
+# row builder: the design is read for its rows and released when the builder
+# returns, so a trial holds its drop and at most one design at a time.
+
 def _trial_fig4(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     seeder = _seeder(cfg.master_seed, "fig4", trial)
     real = draw_realization(scn, seeder)
-    chains = cfg.rx_chains_per_subarray
     rows = []
     for structure in cfg.structures:
-        access = AccessLinkDesign(scn, real, structure)
-        designs = {"access": access,
-                   "backhaul": BackhaulLinkDesign(scn, real, access, structure, chains)}
-        for ps_kind in cfg.ps_kinds:
-            for link in cfg.links:
-                tx_b, rx_b = designs[link].budgets(ps_kind)
-                for snr_db in cfg.snr_db_grid:
-                    results = designs[link].evaluate(ps_kind, scn.snr_point(snr_db))
-                    for duplex in cfg.duplexes:
-                        rows.append(_row("fig4", structure, link, duplex, snr_db, 0.0,
-                                         chains, ps_kind, trial, results[duplex].se_bps_hz,
-                                         tx_b.total_db + rx_b.total_db))
+        rows += _fig4_rows(cfg, scn, real, structure, trial)
+    return rows
+
+
+def _fig4_rows(cfg, scn, real, structure, trial) -> list[dict]:
+    chains = cfg.rx_chains_per_subarray
+    access = AccessLinkDesign(scn, real, structure)
+    designs = {"access": access,
+               "backhaul": BackhaulLinkDesign(scn, real, access, structure, chains)}
+    rows = []
+    for ps_kind in cfg.ps_kinds:
+        for link in cfg.links:
+            tx_b, rx_b = designs[link].budgets(ps_kind)
+            for snr_db in cfg.snr_db_grid:
+                results = designs[link].evaluate(ps_kind, scn.snr_point(snr_db))
+                for duplex in cfg.duplexes:
+                    rows.append(_row("fig4", structure, link, duplex, snr_db, 0.0,
+                                     chains, ps_kind, trial, results[duplex].se_bps_hz,
+                                     tx_b.total_db + rx_b.total_db))
     return rows
 
 
 def _trial_fig5(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     seeder = _seeder(cfg.master_seed, "fig5", trial)
     real = draw_realization(scn, seeder)
-    chains = cfg.rx_chains_per_subarray
-    m = cfg.users * chains
     rows = []
     for structure in cfg.structures:
-        access = AccessLinkDesign(scn, real, structure)
-        backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
-        cee_noise = draw_cee_noise(seeder(f"cee/{structure}"),
-                                   (cfg.subcarriers, m, cfg.users))
-        for sigma_e in cfg.sigma_e_grid:
-            combiner = backhaul.combiner(sigma_e, cee_noise)
-            for ps_kind in cfg.cee_ps_kinds:
-                bh_tx, bh_rx = backhaul.budgets(ps_kind)
-                rfil_db = bh_tx.total_db + bh_rx.total_db
-                for snr_db in cfg.cee_snrs_db:
-                    results = backhaul.evaluate(ps_kind, scn.snr_point(snr_db), combiner)
-                    for duplex in ("fd", "hd"):
-                        rows.append(_row("fig5", structure, "backhaul", duplex, snr_db,
-                                         sigma_e, chains, ps_kind, trial,
-                                         results[duplex].se_bps_hz, rfil_db))
+        rows += _fig5_rows(cfg, scn, real, seeder, structure, trial)
+    return rows
+
+
+def _fig5_rows(cfg, scn, real, seeder, structure, trial) -> list[dict]:
+    chains = cfg.rx_chains_per_subarray
+    access = AccessLinkDesign(scn, real, structure)
+    backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
+    cee_noise = draw_cee_noise(seeder(f"cee/{structure}"),
+                               (cfg.subcarriers, cfg.users * chains, cfg.users))
+    rows = []
+    for sigma_e in cfg.sigma_e_grid:
+        combiner = backhaul.combiner(sigma_e, cee_noise)
+        for ps_kind in cfg.cee_ps_kinds:
+            bh_tx, bh_rx = backhaul.budgets(ps_kind)
+            rfil_db = bh_tx.total_db + bh_rx.total_db
+            for snr_db in cfg.cee_snrs_db:
+                results = backhaul.evaluate(ps_kind, scn.snr_point(snr_db), combiner)
+                for duplex in ("fd", "hd"):
+                    rows.append(_row("fig5", structure, "backhaul", duplex, snr_db,
+                                     sigma_e, chains, ps_kind, trial,
+                                     results[duplex].se_bps_hz, rfil_db))
     return rows
 
 
@@ -120,19 +135,19 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     seeder = _seeder(cfg.master_seed, "fig6", trial)
     real = draw_realization(scn, seeder)
     snr = scn.snr_point(cfg.sic_snr_db)
-    rows = []
+    rows = _fig6_hybrid_rows(cfg, scn, real, snr, trial)
+    # the reference runs with the drop alone alive
+    digital = full_digital_backhaul_se(real, scn, snr)
+    rows.append(_row("fig6", "full-digital", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
+                     0.0, 0, "ideal", trial, digital.se_bps_hz, 0.0))
+    return rows
+
+
+def _fig6_hybrid_rows(cfg, scn, real, snr, trial) -> list[dict]:
     access = AccessLinkDesign(scn, real, "subarray")
+    rows = []
     for chains in cfg.sic_chain_counts:
-        backhaul = BackhaulLinkDesign(scn, real, access, "subarray", chains)
-        results = backhaul.evaluate("ideal", snr)
-        no_dsic = backhaul.evaluate("ideal", snr, backhaul.rates.blind_combiner())["fd"]
-        rows.append(_row("fig6", "subarray", "backhaul", "fd", cfg.sic_snr_db, 0.0,
-                         chains, "ideal", trial, results["fd"].se_bps_hz, 0.0))
-        rows.append(_row("fig6", "subarray-no-dsic", "backhaul", "fd", cfg.sic_snr_db,
-                         0.0, chains, "ideal", trial, no_dsic.se_bps_hz, 0.0))
-        rows.append(_row("fig6", "subarray", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
-                         0.0, chains, "ideal", trial,
-                         results["fd_perfect_sic"].se_bps_hz, 0.0))
+        rows += _fig6_subarray_rows(cfg, scn, real, access, chains, snr, trial)
     # the design reads the access link to build its g_si0, but its one row,
     # the interference-free rate, does not depend on it
     fc = BackhaulLinkDesign(scn, real, access, "fully-connected", cfg.rx_chains_per_subarray)
@@ -140,10 +155,21 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
     rows.append(_row("fig6", "fully-connected", "backhaul", "fd_perfect_sic",
                      cfg.sic_snr_db, 0.0, cfg.rx_chains_per_subarray, "ideal", trial,
                      ideal_fc["fd_perfect_sic"].se_bps_hz, 0.0))
-    digital = full_digital_backhaul_se(real, scn, snr)
-    rows.append(_row("fig6", "full-digital", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
-                     0.0, 0, "ideal", trial, digital.se_bps_hz, 0.0))
     return rows
+
+
+def _fig6_subarray_rows(cfg, scn, real, access, chains, snr, trial) -> list[dict]:
+    backhaul = BackhaulLinkDesign(scn, real, access, "subarray", chains)
+    results = backhaul.evaluate("ideal", snr)
+    no_dsic = backhaul.evaluate("ideal", snr, backhaul.rates.blind_combiner())["fd"]
+    return [
+        _row("fig6", "subarray", "backhaul", "fd", cfg.sic_snr_db, 0.0,
+             chains, "ideal", trial, results["fd"].se_bps_hz, 0.0),
+        _row("fig6", "subarray-no-dsic", "backhaul", "fd", cfg.sic_snr_db,
+             0.0, chains, "ideal", trial, no_dsic.se_bps_hz, 0.0),
+        _row("fig6", "subarray", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
+             0.0, chains, "ideal", trial, results["fd_perfect_sic"].se_bps_hz, 0.0),
+    ]
 
 
 _TRIALS = {"fig4": _trial_fig4, "fig5": _trial_fig5, "fig6": _trial_fig6}

@@ -91,14 +91,18 @@ def zf_bb_precoder(effective: np.ndarray) -> np.ndarray:
     k, u, m = effective.shape
     if u > m:
         raise ConfigurationError(f"zero forcing needs at least {u} RF chains, got {m}")
-    s = np.linalg.svd(effective, compute_uv=False)
+    # one SVD serves the condition check and the pseudo-inverse, taken of the
+    # conjugate as np.linalg.pinv takes it, so the result is pinv's bit for bit
+    u, s, vt = np.linalg.svd(effective.conj(), full_matrices=False)
     # an exactly singular subcarrier has an infinite condition number
     cond = np.divide(s[:, 0], s[:, -1], out=np.full(k, np.inf), where=s[:, -1] > 0)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > ZF_COND_LIMIT:
         raise NearSingularError("multiuser effective channel is rank deficient",
                                 condition_number=worst)
-    pinv = np.linalg.pinv(effective)
+    # below the condition limit no singular value falls under pinv's cutoff
+    # of 1e-15 * s_1, so every one is inverted
+    pinv = vt.swapaxes(-1, -2) @ ((1.0 / s)[..., None] * u.swapaxes(-1, -2))
     return pinv / np.linalg.norm(pinv, axis=1, keepdims=True)
 
 

@@ -261,18 +261,34 @@ def test_singular_values_memory_does_not_grow_with_subcarriers(k):
     assert peak - sv.nbytes < 8 * p * p * 16
 
 
-def test_covariance_factors_computed_once_per_side():
+def test_covariance_factors_computed_once_per_side(monkeypatch):
     cfg = small_cfg()
     tx, rx = ArrayGeometry(2, 3), ArrayGeometry(2, 2)
     paths = sample_cluster_geometry(cfg, 4)
     pc = PathChannel(paths, tx, rx, cfg, 16)
+    weight_gram = PathChannel._weight_gram
+    grams = []
+
+    def counted(channel):
+        grams.append(channel)
+        return weight_gram(channel)
+
+    monkeypatch.setattr(PathChannel, "_weight_gram", counted)
     first = {side: pc.covariance_factors(side) for side in ("tx", "rx")}
+    # one W W^H / K per channel serves both sides
+    assert grams == [pc]
     for side, (basis, core) in first.items():
         again = pc.covariance_factors(side)
         assert again[0] is basis and again[1] is core
         assert not core.flags.writeable
         fresh = PathChannel(paths, tx, rx, cfg, 16).covariance_factors(side)
         assert np.array_equal(fresh[0], basis) and np.array_equal(fresh[1], core)
+    assert len(grams) == 3
+    # the tx core is A_rx^H A_rx times the conjugate weight Gram, the rx core
+    # A_tx^H A_tx times the Gram itself
+    gram = weight_gram(pc)
+    assert np.array_equal(first["tx"][1], (pc.rx_basis.conj().T @ pc.rx_basis) * gram.conj())
+    assert np.array_equal(first["rx"][1], (pc.tx_basis.conj().T @ pc.tx_basis) * gram)
     assert first["tx"][0] is pc.tx_basis and first["rx"][0] is pc.rx_basis
     with pytest.raises(ConfigurationError):
         pc.covariance_factors("both")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,52 @@ def test_single_worker_starts_no_process(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
     assert run_experiment(replace(TINY, experiments=("fig4",), trials=1)).rows
+
+
+_PAIR = ["AccessLinkDesign", "BackhaulLinkDesign"]
+
+
+# fig4 and fig5 build one access/backhaul pair per structure; fig6 one access
+# design, a backhaul per chain count, the fully connected backhaul and then
+# the full-digital reference
+@pytest.mark.parametrize("experiment,builds", [
+    ("fig4", _PAIR * 2),
+    ("fig5", _PAIR * 2),
+    ("fig6", ["AccessLinkDesign"] + ["BackhaulLinkDesign"] * 3 + ["full_digital_backhaul_se"]),
+])
+def test_trial_holds_one_link_design_at_a_time(monkeypatch, experiment, builds):
+    alive = {harness.AccessLinkDesign: [], harness.BackhaulLinkDesign: []}
+    started = []
+
+    def live(cls):
+        return [ref for ref in alive[cls] if ref() is not None]
+
+    def tracked(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            started.append(cls.__name__)
+            # a backhaul design reads the access design it is built on; any
+            # other design still alive belongs to an earlier row builder
+            assert not live(harness.BackhaulLinkDesign), f"{cls.__name__} built beside a backhaul"
+            if cls is harness.AccessLinkDesign:
+                assert not live(harness.AccessLinkDesign), "two access designs alive"
+            alive[cls].append(weakref.ref(self))
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in alive:
+        monkeypatch.setattr(cls, "__init__", tracked(cls))
+    reference = harness.full_digital_backhaul_se
+
+    def full_digital(*args):
+        started.append("full_digital_backhaul_se")
+        assert not any(live(cls) for cls in alive), "a link design outlives the reference"
+        return reference(*args)
+
+    monkeypatch.setattr(harness, "full_digital_backhaul_se", full_digital)
+    result = run_experiment(replace(TINY, experiments=(experiment,), trials=1))
+    assert result.rows and started == builds
 
 
 def test_csv_columns_and_sorting(tmp_path):

@@ -183,6 +183,15 @@ def test_zf_residual_multiuser_interference():
     assert np.max(mui) <= 1e-10 * np.min(diag)
 
 
+@pytest.mark.parametrize("k,u,m", [(8, 4, 4), (16, 4, 16), (5, 3, 7), (3, 1, 5)])
+def test_zf_equals_pinv_bit_for_bit(k, u, m):
+    rng = np.random.default_rng(k * 100 + u * 10 + m)
+    eff = rng.standard_normal((k, u, m)) + 1j * rng.standard_normal((k, u, m))
+    pinv = np.linalg.pinv(eff)
+    assert np.array_equal(zf_bb_precoder(eff),
+                          pinv / np.linalg.norm(pinv, axis=1, keepdims=True))
+
+
 def test_zf_near_singular_error():
     nearly_parallel = [[1, 0, 0, 0], [1, 1e-12, 0, 0], [0, 0, 1, 0]]
     # an exactly singular subcarrier: parallel users, or a user with a zero row
