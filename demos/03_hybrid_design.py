@@ -6,8 +6,8 @@ from dataclasses import replace
 
 from fdiab import ExperimentConfig
 from fdiab.harness import derive_seed
-from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, build_scenario,
-                            draw_realization, full_digital_backhaul_se)
+from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
+                            build_scenario, draw_realization, full_digital_backhaul_se)
 
 cfg = replace(ExperimentConfig(), subcarriers=128, num_taps=64)
 scn = build_scenario(cfg)
@@ -25,12 +25,14 @@ print(f"one drop at SNR 15 dB, {cfg.subcarriers} subcarriers, "
 
 print(f"{'structure':>16} {'duplex':>16} {'SE [b/s/Hz]':>12}")
 for structure in ("fully-connected", "subarray"):
-    access = AccessLinkDesign(scn, real, structure)
-    backhaul = BackhaulLinkDesign(scn, real, access, structure,
-                                  cfg.rx_chains_per_subarray)
+    # the hybrid backhaul link, then the full-duplex receiver that cancels the
+    # IAB node's own access transmission on it
+    link = BackhaulLink(scn, real, structure, cfg.rx_chains_per_subarray)
     # RF stages are phase-only; every connected entry has unit magnitude
-    nz = np.abs(backhaul.w_rf) > 0
-    assert np.allclose(np.abs(backhaul.w_rf[nz]), 1.0)
+    nz = np.abs(link.w_rf) > 0
+    assert np.allclose(np.abs(link.w_rf[nz]), 1.0)
+    access = AccessLinkDesign(scn, real, structure)
+    backhaul = BackhaulLinkDesign(real, link, access)
     results = backhaul.evaluate("ideal", snr)
     for duplex, res in results.items():
         print(f"{structure:>16} {duplex:>16} {res.se_bps_hz:12.1f}")
@@ -42,10 +44,9 @@ print(f"{'full-digital':>16} {'fd_perfect_sic':>16} {digital.se_bps_hz:12.1f}")
 
 print("\nwith insertion loss (passive phase shifters):")
 for structure in ("fully-connected", "subarray"):
-    access = AccessLinkDesign(scn, real, structure)
-    backhaul = BackhaulLinkDesign(scn, real, access, structure,
-                                  cfg.rx_chains_per_subarray)
-    tx_b, rx_b = backhaul.budgets("passive")
+    link = BackhaulLink(scn, real, structure, cfg.rx_chains_per_subarray)
+    backhaul = BackhaulLinkDesign(real, link, AccessLinkDesign(scn, real, structure))
+    tx_b, rx_b = link.budgets("passive")
     res = backhaul.evaluate("passive", snr)
     print(f"{structure:>16}: tx {tx_b.total_db:4.1f} dB + rx {rx_b.total_db:4.1f} dB "
           f"-> fd {res['fd'].se_bps_hz:5.1f} b/s/Hz")

@@ -20,8 +20,8 @@ from .harness import (SweepResult, aggregate_figure, derive_seed, read_csv,
                       run_experiment, write_csv, write_figure_csv)
 from .link import SeResult, SnrPoint, duplex_rates, se_access, se_backhaul
 from .rfil import RfilBudget, RfNetwork, loss_fully_connected
-from .scenario import (AccessLinkDesign, BackhaulLinkDesign, Realization, Scenario,
-                       build_scenario, draw_realization, full_digital_backhaul_se)
+from .scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign, Realization,
+                       Scenario, build_scenario, draw_realization, full_digital_backhaul_se)
 from .transceiver import (bb_svd, mmse_bb_combiner, normalize_power, phase_project,
                           top_eigvecs_factored, zf_bb_precoder)
 

@@ -18,8 +18,8 @@ full-digital and hybrid schemes comparable.
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
 ``se_backhaul`` evaluates any linear backhaul combiner; ``StreamRates``
-gives the rate of each MMSE combiner the backhaul may use, passed as a
-value, in closed form from one routine.
+gives the full-duplex rate of each MMSE combiner the backhaul may use,
+passed as a value, in closed form from one routine.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def se_backhaul(desired: np.ndarray, combiner: np.ndarray, snr: SnrPoint,
     return SeResult(float(np.mean(se_k)), per_subcarrier=se_k, regularized_subcarriers=n_bad)
 
 
-def _rate_from_nats(nats: np.ndarray) -> SeResult:
+def rate_from_nats(nats: np.ndarray) -> SeResult:
     se_k = nats / np.log(2.0)
     return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)
 
@@ -204,25 +204,24 @@ def _split_factors(signal: np.ndarray, estimate: np.ndarray,
 
 
 class StreamRates:
-    """Backhaul rates in the N_s-dimensional stream space, for every operating point.
+    """Full-duplex backhaul rates in the N_s-dimensional stream space.
 
-    ``desired`` A (K, M, N_s) and ``interference`` B (K, M, N_i) are the
-    effective channels including their baseband precoders but no insertion
-    loss, ``noise_gram`` G (M, M) the shape of the noise covariance. An
-    operating point enters only through two scalars: ``a`` = p_s s_tx^2 / n
-    and ``b`` = p_i s_i^2 / n, with p_s and p_i the per-stream powers, s_tx
-    and s_i the transmit-side amplitude scales of the desired and
-    interfering links, and n the noise power.
+    ``desired`` A_w = L^{-1} A (K, M, N_s) is the desired effective channel
+    whitened by ``chol`` L, the Cholesky factor of the noise covariance's shape
+    (``BackhaulLink.white``); ``interference`` B (K, M, N_i) is the interfering
+    one, whitened here (B_w = L^{-1} B). Both include their baseband precoders
+    but no insertion loss. An operating point enters only through two scalars:
+    ``a`` = p_s s_tx^2 / n and ``b`` = p_i s_i^2 / n, with p_s and p_i the
+    per-stream powers, s_tx and s_i the transmit-side amplitude scales of the
+    desired and interfering links, and n the noise power.
 
-    Every factor is computed after whitening by the Cholesky factor L of G
-    (A_w = L^{-1} A, B_w = L^{-1} B). Each full-duplex combiner is a value,
-    the factors of an MMSE combiner designed from an estimate of B: ``aware``
-    knows B, ``combiner(error)`` errs by ``error``, ``blind_combiner()``
-    estimates zero; ``rate`` judges each against B. A combiner whose columns
-    span R^{-1} A, with R the covariance it balances against, loses no
-    information (Tse and Viswanath, *Fundamentals of Wireless
-    Communication*, sec. 8.3). For a combiner with coordinates V that sees
-    the signal term T and the true interference through E = V^H (B_w's
+    Each full-duplex combiner is a value, the factors of an MMSE combiner
+    designed from an estimate of B: ``aware`` knows B, ``combiner(error)`` errs
+    by ``error``, ``blind_combiner()`` estimates zero; ``rate`` judges each
+    against B. A combiner whose columns span R^{-1} A, with R the covariance it
+    balances against, loses no information (Tse and Viswanath, *Fundamentals of
+    Wireless Communication*, sec. 8.3). For a combiner with coordinates V that
+    sees the signal term T and the true interference through E = V^H (B_w's
     coordinates), the rate is
 
         log2 det(I + a T X^{-1} T),  X = V^H V + b E E^H,
@@ -232,18 +231,15 @@ class StreamRates:
     B, X = T and the rate is log2 det(I + a T).
     """
 
-    def __init__(self, desired: np.ndarray, interference: np.ndarray,
-                 noise_gram: np.ndarray):
+    def __init__(self, desired: np.ndarray, interference: np.ndarray, chol: np.ndarray):
         _, m, ns = desired.shape
         ni = interference.shape[2]
         self.shape = (m, ns, ni)
-        self._desired, self._interference = desired, interference
-        self._chol = np.linalg.cholesky(noise_gram)
-        white = np.linalg.solve(self._chol, np.concatenate([interference, desired], axis=2))
+        self._desired, self._interference, self._chol = desired, interference, chol
         # coordinates of B_w and A_w in an orthonormal basis of their joint span
+        white = np.concatenate([np.linalg.solve(chol, interference), desired], axis=2)
         r = np.linalg.qr(white, mode="r")
         self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
-        self.signal_eigs = np.linalg.svd(self._a_r, compute_uv=False) ** 2
         self.aware = _split_factors(self._a_r, self._b_r)
 
     def combiner(self, error: np.ndarray | None = None) -> CombinerFactors:
@@ -262,8 +258,8 @@ class StreamRates:
         if error is None:
             return self.aware
         white = np.linalg.solve(self._chol, np.concatenate(
-            [self._interference - error, self._desired, error], axis=2))
-        return _split_factors(white[:, :, ni:ni + ns], white[:, :, :ni], white[:, :, ni + ns:])
+            [self._interference - error, error], axis=2))
+        return _split_factors(self._desired, white[:, :, :ni], white[:, :, ni:])
 
     def blind_combiner(self) -> CombinerFactors:
         """Factors of the MMSE combiner designed as if there were no interference.
@@ -287,11 +283,7 @@ class StreamRates:
             y = np.linalg.solve(_ct(r_x), signal)                # R_x^{-H} T
             gain = y @ _ct(y)
         _, logdet = np.linalg.slogdet(np.eye(self.shape[1]) + a * _herm(gain))
-        return _rate_from_nats(logdet)
-
-    def interference_free(self, a: float) -> SeResult:
-        """log2 det(I + a A^H G^{-1} A), the rate without interference."""
-        return _rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
+        return rate_from_nats(logdet)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,

@@ -2,27 +2,25 @@
 
 A drop consists of the donor-to-IAB backhaul channel, one access channel per
 user, and the self-interference channel between the co-located IAB panels.
-``AccessLinkDesign`` and ``BackhaulLinkDesign`` assemble the RF stages
-(eigenvector phase projections over an ``RfNetwork``'s blocks), the baseband
-stages (one equal-power stream per donor chain, zero forcing across access
-users, MMSE combining against residual self-interference), and evaluate
-spectral efficiency per phase-shifter kind and SNR point under every duplex
-mode.
+Every transmitter has one RF chain per user, one stream each. The access
+link is an ``AccessLinkDesign``; the backhaul is a ``BackhaulLink``, the
+hybrid link alone, under a ``BackhaulLinkDesign``, its full-duplex receiver.
+A design passes three stages:
 
-Every transmitter has one RF chain per user, one stream each. Only the
-transmit-side insertion loss enters the rates, as a scalar factor on the
-effective channels: the receive-side loss cancels (see ``fdiab.link``) and
-shows only in the budgets, which each ``RfNetwork`` (``Scenario.network``)
-prices. Designs that are scale invariant (RF stages, ZF) are computed once
-per structure. So are the backhaul's ``StreamRates``. A backhaul or user
-stage is built once per (channel, side, network) of a drop
-(``Realization.rf_stage``): a user's combiner serves both structures and the
-donor stage every receive chain count. A full-duplex combiner is a value
-the caller passes to ``BackhaulLinkDesign.evaluate``: the one that knows the
-interference (the default), one designed from an erroneous estimate
-(``combiner``, factored once per estimation error) or one blind to it
-(``rates.blind_combiner()``). Every backhaul rate then follows in closed
-form from two scalars per operating point.
+- RF: eigenvector phase projections over an ``RfNetwork``'s blocks, built
+  once per (channel, side, network) of a drop (``Realization.rf_stage``);
+- baseband: zero forcing across access users, one equal-power stream per
+  donor chain (``normalize_power``), the link's whitening of its desired
+  channel and the receiver's ``StreamRates`` factoring;
+- evaluation: ``BackhaulLink.interference_free`` and each design's
+  ``evaluate``, per phase-shifter kind and SNR point under every duplex mode.
+
+Only the transmit-side insertion loss enters the rates: the receive-side
+loss cancels (see ``fdiab.link``) and shows only in the budgets, which each
+``RfNetwork`` prices. A full-duplex combiner is a value the caller passes
+to ``BackhaulLinkDesign.evaluate``, by default the one that knows the
+interference. Every backhaul rate follows in closed form from two scalars
+per operating point.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ from .arrays import ArrayGeometry
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
                       ci_path_loss, estimation_error, sample_cluster_geometry,
                       si_channel_parts)
-from .link import CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates, se_access
+from .link import (CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates,
+                   rate_from_nats, se_access)
 from .rfil import RfilBudget, RfNetwork
 from .transceiver import normalize_power, phase_project, top_eigvecs_factored, zf_bb_precoder
 # unused here; the benchmark's tracer still wraps these three names in this module
@@ -200,21 +199,19 @@ class AccessLinkDesign:
         return duplex_rates(res, res)
 
 
-class BackhaulLinkDesign:
-    """Donor-to-IAB link with the IAB node transmitting to its users in band.
+class BackhaulLink:
+    """Donor-to-IAB hybrid link alone, without the IAB node's interference.
 
-    The donor sends one equal-power stream per RF chain: its baseband stage
-    is the identity scaled to unit-power coupled columns. With as many
-    streams as chains, a precoder such as ``bb_svd``'s is a unitary V[k]: it
-    turns the desired channel A into A V and leaves A A^H, and every rate,
-    unchanged, whether the MMSE combiner knows, misestimates or ignores the
-    interference (Tse and Viswanath, *Fundamentals of Wireless Communication*, sec. 8.3).
+    The donor sends one equal-power stream per RF chain; a unitary precoder
+    such as ``bb_svd``'s would change no rate (Tse and Viswanath,
+    *Fundamentals of Wireless Communication*, sec. 8.3). The link keeps its
+    desired channel A only whitened, ``white`` = L^{-1} A with ``chol`` L the
+    Cholesky factor of ``noise_gram``.
     """
 
-    def __init__(self, scn: Scenario, real: Realization, access: AccessLinkDesign,
-                 structure: str, chains_per_subarray: int):
+    def __init__(self, scn: Scenario, real: Realization, structure: str,
+                 chains_per_subarray: int):
         self.scn = scn
-        self.access = access
         ns = scn.users                                           # one stream per user
         self.tx_net = scn.network(scn.donor_geom, ns, structure)
         self.rx_net = scn.network(scn.iab_rx_geom, ns * chains_per_subarray, structure)
@@ -222,14 +219,34 @@ class BackhaulLinkDesign:
         self.f_rf = real.rf_stage(ch, "tx", self.tx_net)
         self.w_rf = real.rf_stage(ch, "rx", self.rx_net)
         self.f_bb = normalize_power(self.f_rf, np.eye(ns, dtype=complex)[None])
-        self.des0 = ch.effective(self.w_rf, self.f_rf) @ self.f_bb   # (K, M, Ns)
+        desired = ch.effective(self.w_rf, self.f_rf) @ self.f_bb  # A, (K, M, Ns)
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
-        self.g_si0 = real.si.effective(self.w_rf, access.f_rf)   # (K, M, U)
-        self.rates = StreamRates(self.des0, self.g_si0 @ access.f_bb, self.noise_gram)
+        self.chol = np.linalg.cholesky(self.noise_gram)
+        self.white = np.linalg.solve(self.chol, desired)         # A_w
+        r = np.linalg.qr(self.white, mode="r")
+        self.signal_eigs = np.linalg.svd(r, compute_uv=False) ** 2   # of A^H G^{-1} A
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
         return self.tx_net.budget("tx", ps_kind), self.rx_net.budget("rx", ps_kind)
+
+    def a(self, ps_kind: str, snr: SnrPoint) -> float:
+        """``StreamRates``' ``a``; the receive-side loss cancels, so only the donor's enters."""
+        tx_scale = self.budgets(ps_kind)[0].linear_scale
+        return snr.stream_power(self.scn.users) * tx_scale ** 2 / snr.noise_power
+
+    def interference_free(self, a: float) -> SeResult:
+        """log2 det(I + a A^H G^{-1} A), the rate without interference."""
+        return rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
+
+
+class BackhaulLinkDesign:
+    """Full-duplex receiver of ``link`` while the IAB node serves its users in band."""
+
+    def __init__(self, real: Realization, link: BackhaulLink, access: AccessLinkDesign):
+        self.link, self.access = link, access
+        self.g_si0 = real.si.effective(link.w_rf, access.f_rf)   # (K, M, U)
+        self.rates = StreamRates(link.white, self.g_si0 @ access.f_bb, link.chol)
 
     def combiner(self, sigma_e: float, cee_noise: np.ndarray) -> CombinerFactors:
         """Factors of the full-duplex combiner designed from the SI estimate.
@@ -249,24 +266,19 @@ class BackhaulLinkDesign:
                  combiner: CombinerFactors | None = None) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
-        The full-duplex combiner has the factors ``combiner``: by default
-        those of the exact SI estimate, otherwise one from ``combiner`` or
-        ``rates.blind_combiner()``, the receiver without digital
-        cancellation. It is always judged against the true SI channel. Every
-        rate comes in closed form from the design's ``StreamRates``.
+        The full-duplex rate is that of the combiner with the factors
+        ``combiner`` (by default the exact SI estimate's; see ``combiner`` and
+        ``rates.blind_combiner()``) against the true SI channel; the other
+        modes read the link's interference-free rate.
         """
-        scn = self.scn
-        # the receive-side loss scales signal, interference and noise alike
-        # and cancels, so only each transmitter's loss reaches the rate
-        tx_scale = self.budgets(ps_kind)[0].linear_scale
+        link, scn = self.link, self.link.scn
+        a = link.a(ps_kind, snr)
+        # the IAB node sends one stream per user at the donor's power
         acc_scale = self.access.budgets(ps_kind)[0].linear_scale
-        # the donor and the IAB node each send one stream per user
         p = snr.stream_power(scn.users)
-        a = p * tx_scale ** 2 / snr.noise_power
         b = p * scn.si_power_advantage * acc_scale ** 2 / snr.noise_power
-        if combiner is None:
-            combiner = self.rates.combiner()
-        return duplex_rates(self.rates.rate(combiner, a, b), self.rates.interference_free(a))
+        factors = self.rates.combiner() if combiner is None else combiner
+        return duplex_rates(self.rates.rate(factors, a, b), link.interference_free(a))
 
 
 def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) -> SeResult:

@@ -9,7 +9,7 @@ the block-diagonal subarray form, are assembled in ``fdiab.scenario``.
 Baseband stages are per subcarrier: zero forcing across users at the
 multiuser transmitter, and an MMSE combiner that whitens residual
 self-interference plus noise at the full-duplex receiver. The donor needs
-none (see ``fdiab.scenario.BackhaulLinkDesign``).
+none (see ``fdiab.scenario.BackhaulLink``).
 
 Determinism: eigen/singular vectors are rotated so their first significant
 entry is real and positive before any phase extraction.

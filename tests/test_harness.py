@@ -130,20 +130,22 @@ def test_single_worker_starts_no_process(monkeypatch):
     assert run_experiment(replace(TINY, experiments=("fig4",), trials=1)).rows
 
 
-_PAIR = ["AccessLinkDesign", "BackhaulLinkDesign"]
+_RECEIVER = ["BackhaulLink", "BackhaulLinkDesign"]
 
 
-# fig4 and fig5 build one access/backhaul pair per structure; fig6 one access
-# design, a backhaul per chain count, the fully connected backhaul and then
-# the full-digital reference
+# fig4 and fig5 build one access design, backhaul link and its receiver per
+# structure; fig6 one access design, a link and its receiver per chain count,
+# the fully connected link and then the full-digital reference
 @pytest.mark.parametrize("experiment,builds", [
-    ("fig4", _PAIR * 2),
-    ("fig5", _PAIR * 2),
-    ("fig6", ["AccessLinkDesign"] + ["BackhaulLinkDesign"] * 3 + ["full_digital_backhaul_se"]),
+    ("fig4", (["AccessLinkDesign"] + _RECEIVER) * 2),
+    ("fig5", (["AccessLinkDesign"] + _RECEIVER) * 2),
+    ("fig6", ["AccessLinkDesign"] + _RECEIVER * len(TINY.sic_chain_counts)
+     + ["BackhaulLink", "full_digital_backhaul_se"]),
 ])
 def test_trial_holds_one_link_design_at_a_time(monkeypatch, experiment, builds):
-    alive = {harness.AccessLinkDesign: [], harness.BackhaulLinkDesign: []}
-    started = []
+    alive = {harness.AccessLinkDesign: [], harness.BackhaulLink: [],
+             harness.BackhaulLinkDesign: []}
+    started, access_alive_at_link = [], []
 
     def live(cls):
         return [ref for ref in alive[cls] if ref() is not None]
@@ -153,11 +155,16 @@ def test_trial_holds_one_link_design_at_a_time(monkeypatch, experiment, builds):
 
         def __init__(self, *args, **kwargs):
             started.append(cls.__name__)
-            # a backhaul design reads the access design it is built on; any
-            # other design still alive belongs to an earlier row builder
-            assert not live(harness.BackhaulLinkDesign), f"{cls.__name__} built beside a backhaul"
+            # a receiver reads the link and the access design it is built on,
+            # and a link may be built beside its access design; any other
+            # design still alive belongs to an earlier row builder
+            assert not live(harness.BackhaulLinkDesign), f"{cls.__name__} built beside a receiver"
+            if cls is not harness.BackhaulLinkDesign:
+                assert not live(harness.BackhaulLink), f"{cls.__name__} built beside a link"
             if cls is harness.AccessLinkDesign:
                 assert not live(harness.AccessLinkDesign), "two access designs alive"
+            if cls is harness.BackhaulLink:
+                access_alive_at_link.append(bool(live(harness.AccessLinkDesign)))
             alive[cls].append(weakref.ref(self))
             init(self, *args, **kwargs)
         return __init__
@@ -174,6 +181,9 @@ def test_trial_holds_one_link_design_at_a_time(monkeypatch, experiment, builds):
     monkeypatch.setattr(harness, "full_digital_backhaul_se", full_digital)
     result = run_experiment(replace(TINY, experiments=(experiment,), trials=1))
     assert result.rows and started == builds
+    if experiment == "fig6":
+        # the fully connected reference is the link alone
+        assert access_alive_at_link[-1] is False
 
 
 def test_csv_columns_and_sorting(tmp_path):

@@ -10,8 +10,9 @@ from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
 from fdiab.link import StreamRates
 from fdiab.rfil import PS_KINDS, RfNetwork, loss_fully_connected
-from fdiab.scenario import (AccessLinkDesign, BackhaulLinkDesign, build_scenario,
-                            draw_realization, full_digital_backhaul_se, rf_stage)
+from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
+                            build_scenario, draw_realization, full_digital_backhaul_se,
+                            rf_stage)
 from fdiab.transceiver import bb_svd
 from oracles import frequency_response, rf_stage_fully_connected, rf_stage_subarray
 
@@ -21,6 +22,16 @@ SMALL = replace(
     clusters=3, rays_per_cluster=4, access_clusters=2, access_rays_per_cluster=4,
     panel_separation_wavelengths=5.0, trials=2,
 )
+
+
+def _backhaul(scn, real, access, structure, chains):
+    """The full-duplex receiver of the backhaul link of ``structure``."""
+    return BackhaulLinkDesign(real, BackhaulLink(scn, real, structure, chains), access)
+
+
+def _desired(real, link):
+    """The link's desired effective channel A, which it keeps only whitened."""
+    return real.backhaul.effective(link.w_rf, link.f_rf) @ link.f_bb
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +75,7 @@ def test_si_channel_carries_cancellation_budget(drop):
 def test_designs_respect_rf_constraints(drop, structure):
     scn, real = drop
     access = AccessLinkDesign(scn, real, structure)
-    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+    bh = BackhaulLink(scn, real, structure, 2)
     for mat in (access.f_rf, bh.f_rf, bh.w_rf):
         nz = np.abs(mat) > 0
         assert np.allclose(np.abs(mat[nz]), 1.0, atol=1e-12)
@@ -111,7 +122,7 @@ def test_rf_stages_match_dense_oracle(drop, side):
 def test_subarray_designs_block_diagonal(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "subarray")
-    bh = BackhaulLinkDesign(scn, real, access, "subarray", 2)
+    bh = BackhaulLink(scn, real, "subarray", 2)
     for mat, geom in ((access.f_rf, scn.iab_tx_geom), (bh.f_rf, scn.donor_geom)):
         blocks = partition_subarrays(geom.num_elements, scn.users)
         for col in range(mat.shape[1]):
@@ -128,15 +139,14 @@ def test_rf_stages_shared_within_a_drop():
     real = draw_realization(scn, _seeder(1, "test", 0))
     fc, sa = (AccessLinkDesign(scn, real, s) for s in ("fully-connected", "subarray"))
     assert all(a is b for a, b in zip(fc.combiners, sa.combiners, strict=True))
-    two, four = (BackhaulLinkDesign(scn, real, sa, "subarray", n) for n in (2, 4))
+    two, four = (BackhaulLink(scn, real, "subarray", n) for n in (2, 4))
     assert two.f_rf is four.f_rf and two.w_rf.shape != four.w_rf.shape
-    assert BackhaulLinkDesign(scn, real, fc, "subarray", 2).w_rf is two.w_rf
-    assert not np.array_equal(BackhaulLinkDesign(scn, real, fc, "fully-connected", 2).f_rf,
-                              two.f_rf)
+    assert BackhaulLink(scn, real, "subarray", 2).w_rf is two.w_rf
+    assert not np.array_equal(BackhaulLink(scn, real, "fully-connected", 2).f_rf, two.f_rf)
     assert not (two.f_rf.flags.writeable or two.w_rf.flags.writeable
                 or fc.combiners[0].flags.writeable)
     fresh = draw_realization(scn, _seeder(1, "test", 0))
-    assert np.array_equal(BackhaulLinkDesign(scn, fresh, sa, "subarray", 4).f_rf, two.f_rf)
+    assert np.array_equal(BackhaulLink(scn, fresh, "subarray", 4).f_rf, two.f_rf)
 
 
 @pytest.mark.parametrize("chains", [2, 3])
@@ -150,7 +160,7 @@ def test_budgets_match_closed_forms(drop, structure, ps_kind, chains):
     assert (scn.donor_geom.num_elements, scn.iab_rx_geom.num_elements,
             scn.user_geom.num_elements, scn.users) == (16, 16, 4, 4)
     access = AccessLinkDesign(scn, real, structure)
-    backhaul = BackhaulLinkDesign(scn, real, access, structure, chains)
+    backhaul = BackhaulLink(scn, real, structure, chains)
     fully = structure == "fully-connected"
     want = {backhaul: (("tx", 16, 4) if fully else ("tx", 4, 1),
                        ("rx", 16, 4 * chains) if fully else ("rx", 4, chains)),
@@ -161,19 +171,45 @@ def test_budgets_match_closed_forms(drop, structure, ps_kind, chains):
             assert (got.total_db, got.breakdown) == (ref.total_db, ref.breakdown)
 
 
+def _joint_interference_free(chol, interference, desired, a):
+    """Per-subcarrier rate without interference, from the squared singular
+    values of the trailing block of qr(L^{-1} [B | A], mode="r")."""
+    white = np.linalg.solve(chol, np.concatenate([interference, desired], axis=2))
+    r = np.linalg.qr(white, mode="r")[:, :, interference.shape[2]:]
+    return np.sum(np.log1p(a * np.linalg.svd(r, compute_uv=False) ** 2), axis=1) / np.log(2.0)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_interference_free_rate_matches_joint_factoring(drop, structure):
+    # the link whitens and factors its desired channel alone; the rate equals
+    # the one read from the joint factoring of the SI and desired channels
+    scn, real = drop
+    access = AccessLinkDesign(scn, real, structure)
+    bh = _backhaul(scn, real, access, structure, 2)
+    link = bh.link
+    for snr in (scn.snr_point(-10.0), scn.snr_point(20.0)):
+        a = link.a("ideal", snr)
+        want = _joint_interference_free(link.chol, bh.g_si0 @ access.f_bb,
+                                        _desired(real, link), a)
+        got = link.interference_free(a).per_subcarrier
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_donor_svd_precoder_leaves_every_rate_unchanged(drop, structure):
     # the donor sends one stream per chain, so the right singular vectors of
     # its effective channel form a unitary V[k]: A V has the same rates as A
     scn, real = drop
     access = AccessLinkDesign(scn, real, structure)
-    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
-    eff = real.backhaul.effective(bh.w_rf, bh.f_rf)
+    bh = _backhaul(scn, real, access, structure, 2)
+    link = bh.link
+    eff = real.backhaul.effective(link.w_rf, link.f_rf)
     svd = bb_svd(eff, scn.users)[0]
-    totals = np.linalg.norm(bh.f_rf[None] @ svd, axis=(1, 2)) ** 2
+    totals = np.linalg.norm(link.f_rf[None] @ svd, axis=(1, 2)) ** 2
     svd = svd * np.sqrt(scn.users / totals)[:, None, None]
-    old = StreamRates(eff @ svd, bh.g_si0 @ access.f_bb, bh.noise_gram)
-    assert not np.allclose(eff @ svd, bh.des0)
+    precoded = eff @ svd
+    old = StreamRates(np.linalg.solve(link.chol, precoded), bh.g_si0 @ access.f_bb, link.chol)
+    assert not np.allclose(precoded, eff @ link.f_bb)
     cee = draw_cee_noise(np.random.default_rng(3), (scn.num_subcarriers, 2 * scn.users,
                                                     scn.users))
     error = estimation_error(bh.g_si0, 0.1, cee) @ access.f_bb
@@ -185,10 +221,12 @@ def test_donor_svd_precoder_leaves_every_rate_unchanged(drop, structure):
                  (bh.rates.rate(bh.combiner(0.1, cee), a, b),
                   old.rate(old.combiner(error), a, b)),
                  (bh.rates.rate(bh.rates.blind_combiner(), a, b),
-                  old.rate(old.blind_combiner(), a, b)),
-                 (bh.rates.interference_free(a), old.interference_free(a))]
+                  old.rate(old.blind_combiner(), a, b))]
         for new, ref in pairs:
             assert np.allclose(new.per_subcarrier, ref.per_subcarrier, rtol=1e-12, atol=0)
+        old_free = _joint_interference_free(link.chol, bh.g_si0 @ access.f_bb, precoded, a)
+        assert np.allclose(link.interference_free(a).per_subcarrier, old_free,
+                           rtol=1e-12, atol=0)
 
 
 def test_access_zero_forcing_holds(drop):
@@ -204,7 +242,7 @@ def test_access_zero_forcing_holds(drop):
 def test_half_duplex_is_exactly_half_of_perfect(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "fully-connected")
-    bh = BackhaulLinkDesign(scn, real, access, "fully-connected", 2)
+    bh = _backhaul(scn, real, access, "fully-connected", 2)
     out = bh.evaluate("ideal", scn.snr_point(10.0))
     assert out["fd_perfect_sic"].se_bps_hz == 2.0 * out["hd"].se_bps_hz
     assert out["fd"].se_bps_hz <= out["fd_perfect_sic"].se_bps_hz + 1e-12
@@ -215,7 +253,7 @@ def test_interference_aware_combiner_beats_ignorant(drop):
     scn, real = drop
     for structure in ("fully-connected", "subarray"):
         access = AccessLinkDesign(scn, real, structure)
-        bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+        bh = _backhaul(scn, real, access, structure, 2)
         snr = scn.snr_point(10.0)
         aware = bh.evaluate("ideal", snr)["fd"]
         blind = bh.evaluate("ideal", snr, bh.rates.blind_combiner())["fd"]
@@ -225,7 +263,7 @@ def test_interference_aware_combiner_beats_ignorant(drop):
 def test_ideal_components_bit_exact(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "subarray")
-    bh = BackhaulLinkDesign(scn, real, access, "subarray", 2)
+    bh = _backhaul(scn, real, access, "subarray", 2)
     a = bh.evaluate("ideal", scn.snr_point(5.0))
     b = bh.evaluate("ideal", scn.snr_point(5.0))
     assert a["fd"].se_bps_hz == b["fd"].se_bps_hz
@@ -236,7 +274,7 @@ def test_rfil_ordering_passive_worst(drop):
     scn, real = drop
     for structure in ("fully-connected", "subarray"):
         access = AccessLinkDesign(scn, real, structure)
-        bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+        bh = _backhaul(scn, real, access, structure, 2)
         snr = scn.snr_point(10.0)
         per_kind = {kind: bh.evaluate(kind, snr)["fd_perfect_sic"].se_bps_hz
                     for kind in ("ideal", "active", "passive")}
@@ -256,7 +294,7 @@ def test_full_digital_upper_bounds_hybrid(drop):
     digital = full_digital_backhaul_se(real, scn, snr).se_bps_hz
     for structure in ("fully-connected", "subarray"):
         access = AccessLinkDesign(scn, real, structure)
-        bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+        bh = _backhaul(scn, real, access, structure, 2)
         hybrid = bh.evaluate("ideal", snr)["fd_perfect_sic"].se_bps_hz
         assert digital >= hybrid - 1e-9
 
@@ -264,7 +302,7 @@ def test_full_digital_upper_bounds_hybrid(drop):
 def test_estimation_error_degrades_full_duplex(drop):
     scn, real = drop
     access = AccessLinkDesign(scn, real, "subarray")
-    bh = BackhaulLinkDesign(scn, real, access, "subarray", 2)
+    bh = _backhaul(scn, real, access, "subarray", 2)
     snr = scn.snr_point(10.0)
     rng = np.random.default_rng(0)
     m = scn.users * 2
@@ -281,7 +319,7 @@ def test_more_receive_chains_never_hurt_with_dsic(drop):
     snr = scn.snr_point(10.0)
     ses = []
     for chains in (2, 3, 4):
-        bh = BackhaulLinkDesign(scn, real, access, "subarray", chains)
+        bh = _backhaul(scn, real, access, "subarray", chains)
         ses.append(bh.evaluate("ideal", snr)["fd"].se_bps_hz)
     assert ses[0] <= ses[1] + 1e-9 and ses[1] <= ses[2] + 1e-9
 
@@ -307,7 +345,7 @@ def test_closed_form_rates_match_extended_precision_oracle(structure):
     seeder = _seeder(1, "test", 0)
     real = draw_realization(scn, seeder)
     access = AccessLinkDesign(scn, real, structure)
-    bh = BackhaulLinkDesign(scn, real, access, structure, 2)
+    bh = _backhaul(scn, real, access, structure, 2)
     snr = scn.snr_point(20.0)
     out = bh.evaluate("active", snr)
     out["fd_no_dsic"] = bh.evaluate("active", snr, bh.rates.blind_combiner())["fd"]
@@ -321,12 +359,13 @@ def test_closed_form_rates_match_extended_precision_oracle(structure):
     p = snr.stream_power(scn.users)
     with mpmath.workdps(40):
         n = mpmath.mpf(snr.noise_power)
-        a = mpmath.mpf(p) * mpmath.mpf(bh.budgets("active")[0].linear_scale) ** 2 / n
+        a = mpmath.mpf(p) * mpmath.mpf(bh.link.budgets("active")[0].linear_scale) ** 2 / n
         b = (mpmath.mpf(p) * mpmath.mpf(scn.si_power_advantage)
              * mpmath.mpf(access.budgets("active")[0].linear_scale) ** 2 / n)
-        gram = _mp(bh.noise_gram)
+        gram = _mp(bh.link.noise_gram)
+        des0 = _desired(real, bh.link)
         for k in range(scn.num_subcarriers):
-            desired = _mp(bh.des0[k])
+            desired = _mp(des0[k])
             rsi = _mp(bh.g_si0[k]) * _mp(access.f_bb[k])
             interference = gram + b * rsi * rsi.H
             aware = mpmath.inverse(interference + a * desired * desired.H) * desired
@@ -353,7 +392,7 @@ def test_too_few_receive_chains_rejected_at_evaluation(drop, structure, sigma_e)
     # interfering streams
     scn, real = drop
     access = AccessLinkDesign(scn, real, structure)
-    bh = BackhaulLinkDesign(scn, real, access, structure, 1)
+    bh = _backhaul(scn, real, access, structure, 1)
     cee = np.ones((scn.num_subcarriers, scn.users, scn.users), dtype=complex)
     with pytest.raises(ConfigurationError, match="rf-chain-rule"):
         bh.evaluate("ideal", scn.snr_point(10.0), bh.combiner(sigma_e, cee))
