@@ -254,31 +254,48 @@ class PathChannel:
     def subcarrier_singular_values(self, num_streams: int) -> np.ndarray:
         """Top ``num_streams`` singular values of every H[k], shape (K, n).
 
-        H[k] = Q_rx R_rx diag(m[:, k]) R_tx^H Q_tx^H, so the singular values
-        are those of the path-space core C[k] = R_rx diag(m[:, k]) R_tx^H.
-        They are the square roots of the top eigenvalues of the Hermitian
-        Gram of C[k] on its smaller side. Each subcarrier's core, Gram and
-        eigenvalues are formed in turn, so the loop holds a few P x P
-        temporaries (0.4 MB each at P = 160 paths) and its memory does not
-        grow with K. The Gram squares the spread of the values: its
-        eigenvalues carry an absolute error of a few eps * s_1^2, so s_n is
-        accurate to about eps * s_1^2 / s_n, and never worse than about
-        sqrt(eps) * s_1. The relative error of s_n thus grows as
-        (s_1 / s_n)^2, where an SVD of C[k] would keep it near eps.
+        Each basis is U F on its numerical range (:func:`_range_factor`), so
+        H[k] = U_rx F_rx diag(m[:, k]) F_tx^H U_tx^H and the singular values
+        are those of the range-space core C[k] = F_rx diag(m[:, k]) F_tx^H,
+        r_rx x r_tx. The ranks r are numerical: rays clipped to the same
+        elevation pole share one steering vector, so r falls below the path
+        count P, and the channel rank is min(r_rx, r_tx). The values are the
+        square roots of the top eigenvalues of the Hermitian Gram of C[k] on
+        its smaller side. Each subcarrier's core, Gram and eigenvalues are
+        formed in turn, so the loop holds a few r x r temporaries (at most
+        0.4 MB each at P = 160 paths) and its memory does not grow with K.
+        The Gram squares the spread of the values: its eigenvalues carry an
+        absolute error of a few eps * s_1^2, so s_n is accurate to about
+        eps * s_1^2 / s_n, and never worse than about sqrt(eps) * s_1. The
+        relative error of s_n thus grows as (s_1 / s_n)^2, where an SVD of
+        C[k] would keep it near eps.
         """
-        rr = np.linalg.qr(self.rx_basis, mode="r")
-        rt = np.linalg.qr(self.tx_basis, mode="r")
-        rank = min(rr.shape[0], rt.shape[0])
+        fr = _range_factor(self.rx_basis)
+        ft = _range_factor(self.tx_basis)
+        rank = min(len(fr), len(ft))
         if num_streams > rank:
             raise ConfigurationError("more streams requested than channel rank supports")
-        rt_h = rt.conj().T
-        receive_side = rr.shape[0] == rank
+        ft_h = ft.conj().T
+        receive_side = len(fr) == rank
         out = np.empty((self.num_subcarriers, num_streams))
         for k, m in enumerate(self.weights.T):
-            core = (rr * m) @ rt_h
+            core = (fr * m) @ ft_h
             gram = core @ core.conj().T if receive_side else core.conj().T @ core
             out[k] = np.linalg.eigvalsh(gram)[::-1][:num_streams]
         return np.sqrt(np.maximum(out, 0.0))
+
+
+def _range_factor(basis: np.ndarray) -> np.ndarray:
+    """F = S_r V_r^H (r x P) with basis = U_r F for orthonormal U_r (N x r).
+
+    Taken from the SVD of the QR factor R rather than of the basis itself.
+    r is the numerical rank by numpy's ``matrix_rank`` rule: the singular
+    values above s_1 * max(N, P) * eps. The dropped directions lie below the
+    rounding level of R itself.
+    """
+    _, s, vh = np.linalg.svd(np.linalg.qr(basis, mode="r"), full_matrices=False)
+    keep = s > s[0] * max(basis.shape) * np.finfo(s.dtype).eps
+    return s[keep, None] * vh[keep]
 
 
 def near_field_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,

@@ -163,7 +163,9 @@ class ExperimentConfig:
                     "more receive RF chains than IAB antennas")
         # each backhaul RF stage draws its eigenvectors from the path-space
         # covariance: a fully connected receive stage (fig6 designs one in
-        # any case) needs users * L of them, a subarray block its own L
+        # any case) needs users * L of them, a subarray block its own L. Each
+        # user's access channel is its own draw and needs one path, which
+        # positive-counts already guarantees
         eigvecs = [self.users]
         if "fully-connected" in self.structures or fig6:
             eigvecs.append(self.users * self.rx_chains_per_subarray)
@@ -174,8 +176,6 @@ class ExperimentConfig:
         paths, needed = self.clusters * self.rays_per_cluster, max(eigvecs)
         require(paths >= needed, "path-count",
                 f"{paths} backhaul paths cannot supply {needed} RF-stage eigenvectors")
-        require(self.access_clusters * self.access_rays_per_cluster >= self.users,
-                "path-count", "too few access rays to support the user count")
         require(self.backhaul_distance_m >= 1.0 and self.cee_backhaul_distance_m >= 1.0
                 and self.sic_backhaul_distance_m >= 1.0,
                 "ci-reference-distance", "link distances must be >= 1 m")

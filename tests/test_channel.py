@@ -6,8 +6,8 @@ from dataclasses import replace
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _si_nlos_config,
-                           ci_path_loss, draw_cee_noise, near_field_los,
+from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _range_factor,
+                           _si_nlos_config, ci_path_loss, draw_cee_noise, near_field_los,
                            perturb_effective_channel, raised_cosine,
                            sample_cluster_geometry, si_channel_parts)
 from fdiab.config import ExperimentConfig
@@ -243,6 +243,32 @@ def test_singular_values_beyond_the_rank_rejected():
     assert pc.subcarrier_singular_values(4).shape == (16, 4)
     with pytest.raises(ConfigurationError):
         pc.subcarrier_singular_values(5)
+
+
+def test_singular_values_on_rank_deficient_bases():
+    # rays clipped to one elevation pole share one steering vector, so each
+    # 40-path basis has a numerical rank below 40
+    cfg = ClusterConfig(num_clusters=5, rays_per_cluster=8, num_taps=16)
+    paths = sample_cluster_geometry(cfg, 7)
+    paths.aoa_elevation[:10] = np.pi / 2
+    paths.aoa_elevation[10:15] = -np.pi / 2
+    paths.aod_elevation[20:32] = np.pi / 2
+    pc = PathChannel(paths, ArrayGeometry(8, 8), ArrayGeometry(8, 8), cfg, 32)
+    ranks = []
+    for basis in (pc.rx_basis, pc.tx_basis):
+        f = _range_factor(basis)
+        assert f.shape == (np.linalg.matrix_rank(basis), cfg.num_paths)
+        assert len(f) < cfg.num_paths
+        # basis = U F with orthonormal U: F keeps the Gram of the basis
+        assert np.allclose(f.conj().T @ f, basis.conj().T @ basis, atol=1e-12)
+        ranks.append(len(f))
+    sv = pc.subcarrier_singular_values(4)
+    assert np.allclose(sv, subcarrier_singular_values(pc, 4), rtol=1e-9, atol=1e-9)
+    # the channel rank is the smaller numerical rank, not the path count
+    rank = min(ranks)
+    assert pc.subcarrier_singular_values(rank).shape == (32, rank)
+    with pytest.raises(ConfigurationError):
+        pc.subcarrier_singular_values(rank + 1)
 
 
 @pytest.mark.parametrize("k", [32, 256])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdiab.arrays import ArrayGeometry, partition_subarrays, upa_steering
+from fdiab.arrays import ArrayGeometry, partition_subarrays, steering_matrix, upa_steering
 from fdiab.errors import (ConfigurationError, DegenerateInputError, DomainError,
                           NearSingularError)
 from fdiab.transceiver import (bb_svd, mmse_bb_combiner, normalize_power,
@@ -98,15 +98,47 @@ def test_subarray_structure_random_sizes():
 
 def test_factored_eigvectors_match_dense():
     rng = np.random.default_rng(7)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    basis, core = gaussian(24, 6), gaussian(6, 6)
+    cases = [(basis, core @ core.conj().T)]
+    # 10 of 16 rays clipped to one elevation pole: their steering vectors
+    # coincide to rounding and R is singular to working precision, where a
+    # lift by a solve with R moves phases by up to 0.5 rad
+    pole = np.random.default_rng(1)
+    elevation = pole.uniform(-1.2, 1.2, 16)
+    elevation[:10] = np.pi / 2
+    clipped = steering_matrix(ArrayGeometry(4, 8), pole.uniform(-np.pi, np.pi, 16), elevation)
+    core = pole.standard_normal((16, 16)) + 1j * pole.standard_normal((16, 16))
+    cases.append((clipped, core @ core.conj().T))
+    # a short block: fewer elements than paths
+    core = gaussian(10, 10)
+    cases.append((gaussian(6, 10), core @ core.conj().T))
+    for basis, core in cases:
+        dense = basis @ core @ basis.conj().T
+        v_fact = top_eigvecs_factored(basis, core, 3)
+        v_dense = np.linalg.eigh(dense)[1][:, ::-1][:, :3]
+        assert np.allclose(np.abs(v_fact.conj().T @ v_dense), np.eye(3), atol=1e-8)
+        # both eigenvector routes feed the same phase projection
+        assert np.allclose(rf_from_covariance(dense, 3), np.exp(1j * np.angle(v_fact)),
+                           atol=1e-8)
+
+
+def test_factored_eigvectors_of_a_rank_deficient_covariance():
+    # a covariance of rank 2 has no positive third eigenvalue to divide by:
+    # the third vector is still a unit vector of its null space
+    rng = np.random.default_rng(8)
     basis = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
-    core = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    core = core @ core.conj().T
+    half = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    core = half @ half.conj().T
     dense = basis @ core @ basis.conj().T
-    v_fact = top_eigvecs_factored(basis, core, 3)
-    v_dense = np.linalg.eigh(dense)[1][:, ::-1][:, :3]
-    assert np.allclose(np.abs(v_fact.conj().T @ v_dense), np.eye(3), atol=1e-8)
-    # both eigenvector routes feed the same phase projection
-    assert np.allclose(rf_from_covariance(dense, 3), np.exp(1j * np.angle(v_fact)), atol=1e-8)
+    v = top_eigvecs_factored(basis, core, 3)
+    assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
+    v_dense = np.linalg.eigh(dense)[1][:, ::-1][:, :2]
+    assert np.allclose(np.abs(v[:, :2].conj().T @ v_dense), np.eye(2), atol=1e-8)
+    assert np.linalg.norm(dense @ v[:, 2]) <= 1e-12 * np.linalg.norm(dense, 2)
 
 
 def test_rf_design_errors():
