@@ -259,29 +259,32 @@ class PathChannel:
         are those of the range-space core C[k] = F_rx diag(m[:, k]) F_tx^H,
         r_rx x r_tx. The ranks r are numerical: rays clipped to the same
         elevation pole share one steering vector, so r falls below the path
-        count P, and the channel rank is min(r_rx, r_tx). The values are the
-        square roots of the top eigenvalues of the Hermitian Gram of C[k] on
-        its smaller side. Each subcarrier's core, Gram and eigenvalues are
-        formed in turn, so the loop holds a few r x r temporaries (at most
-        0.4 MB each at P = 160 paths) and its memory does not grow with K.
+        count P. The values are the square roots of the top eigenvalues of
+        the Hermitian Gram of C[k] on its smaller side; those beyond
+        min(r_rx, r_tx) lie below the rounding level and are returned as 0.
+        ``num_streams`` is bounded by the structural rank, min(N, P) per
+        side, which the configuration fixes, not by the draw. Each
+        subcarrier's core, Gram and eigenvalues are formed in turn, so the
+        loop holds a few r x r temporaries (at most 0.4 MB each at P = 160
+        paths) and its memory does not grow with K.
         The Gram squares the spread of the values: its eigenvalues carry an
         absolute error of a few eps * s_1^2, so s_n is accurate to about
         eps * s_1^2 / s_n, and never worse than about sqrt(eps) * s_1. The
         relative error of s_n thus grows as (s_1 / s_n)^2, where an SVD of
         C[k] would keep it near eps.
         """
+        if num_streams > min(*self.rx_basis.shape, *self.tx_basis.shape):
+            raise ConfigurationError("more streams requested than channel rank supports")
         fr = _range_factor(self.rx_basis)
         ft = _range_factor(self.tx_basis)
-        rank = min(len(fr), len(ft))
-        if num_streams > rank:
-            raise ConfigurationError("more streams requested than channel rank supports")
         ft_h = ft.conj().T
-        receive_side = len(fr) == rank
-        out = np.empty((self.num_subcarriers, num_streams))
+        receive_side = len(fr) <= len(ft)
+        n = min(num_streams, len(fr), len(ft))
+        out = np.zeros((self.num_subcarriers, num_streams))
         for k, m in enumerate(self.weights.T):
             core = (fr * m) @ ft_h
             gram = core @ core.conj().T if receive_side else core.conj().T @ core
-            out[k] = np.linalg.eigvalsh(gram)[::-1][:num_streams]
+            out[k, :n] = np.linalg.eigvalsh(gram)[::-1][:n]
         return np.sqrt(np.maximum(out, 0.0))
 
 

@@ -48,27 +48,18 @@ def phase_project(vectors: np.ndarray) -> np.ndarray:
 def top_eigvecs_factored(basis: np.ndarray, core: np.ndarray, n: int) -> np.ndarray:
     """Dominant eigenvectors of basis @ core @ basis^H without forming it.
 
-    ``basis`` is (N, P) and ``core`` Hermitian PSD (P, P). With basis = Q R,
-    the eigenproblem is solved for the small matrix R core R^H, and each
-    eigenvector y with eigenvalue lam lifts to v = Q y. While every kept lam
-    is above numpy's rank rule (lam_1 * dim * eps) the lift needs no Q:
-    Q y = Q R core R^H y / lam = basis @ (core @ (R^H y)) / lam, which never
-    inverts R, whose condition number reaches 1e16 for steering bases. A
-    numerically rank-deficient covariance has no such lam to divide by; its
-    vectors are lifted through Q itself.
+    ``basis`` is (N, P), tall or short, and ``core`` Hermitian PSD (P, P);
+    with basis = Q R the eigenproblem is solved for R core R^H in the
+    column space, of dimension min(N, P), and lifted by Q.
     """
-    r = np.linalg.qr(basis, mode="r")
+    q, r = np.linalg.qr(basis)
     small = r @ core @ r.conj().T
     small = 0.5 * (small + small.conj().T)
     if n > small.shape[0]:
         raise DegenerateInputError(
             f"covariance rank {small.shape[0]} cannot supply {n} eigenvectors")
-    vals, vecs = np.linalg.eigh(small)
-    vals, vecs = vals[::-1][:n], vecs[:, ::-1][:, :n]
-    if vals[-1] > vals[0] * len(small) * np.finfo(vals.dtype).eps:
-        top = basis @ (core @ (r.conj().T @ vecs)) / vals
-    else:
-        top = np.linalg.qr(basis)[0] @ vecs
+    _, vecs = np.linalg.eigh(small)
+    top = q @ vecs[:, ::-1][:, :n]
     return _fix_column_phases(top)[0]
 
 

@@ -264,11 +264,19 @@ def test_singular_values_on_rank_deficient_bases():
         ranks.append(len(f))
     sv = pc.subcarrier_singular_values(4)
     assert np.allclose(sv, subcarrier_singular_values(pc, 4), rtol=1e-9, atol=1e-9)
-    # the channel rank is the smaller numerical rank, not the path count
+    # beyond the smaller numerical rank the values are 0, where the dense
+    # SVD returns values at its rounding level; every value stays within the
+    # Gram's accuracy, about sqrt(eps) * s_1. Only the structural rank,
+    # min(N, P) = 40, bounds the stream count
     rank = min(ranks)
-    assert pc.subcarrier_singular_values(rank).shape == (32, rank)
+    sv = pc.subcarrier_singular_values(rank + 2)
+    dense = subcarrier_singular_values(pc, rank + 2)
+    assert np.all(sv[:, rank:] == 0)
+    assert np.all(dense[:, rank:] <= 1e-12 * dense[:, :1])
+    assert np.all(np.abs(sv - dense) <= 4 * np.sqrt(np.finfo(float).eps) * dense[:, :1])
+    assert pc.subcarrier_singular_values(cfg.num_paths).shape == (32, cfg.num_paths)
     with pytest.raises(ConfigurationError):
-        pc.subcarrier_singular_values(rank + 1)
+        pc.subcarrier_singular_values(cfg.num_paths + 1)
 
 
 @pytest.mark.parametrize("k", [32, 256])

@@ -105,8 +105,7 @@ def test_factored_eigvectors_match_dense():
     basis, core = gaussian(24, 6), gaussian(6, 6)
     cases = [(basis, core @ core.conj().T)]
     # 10 of 16 rays clipped to one elevation pole: their steering vectors
-    # coincide to rounding and R is singular to working precision, where a
-    # lift by a solve with R moves phases by up to 0.5 rad
+    # coincide to rounding and R is singular to working precision
     pole = np.random.default_rng(1)
     elevation = pole.uniform(-1.2, 1.2, 16)
     elevation[:10] = np.pi / 2
@@ -127,8 +126,8 @@ def test_factored_eigvectors_match_dense():
 
 
 def test_factored_eigvectors_of_a_rank_deficient_covariance():
-    # a covariance of rank 2 has no positive third eigenvalue to divide by:
-    # the third vector is still a unit vector of its null space
+    # a covariance of rank 2: the third vector, lifted through Q, is still a
+    # unit vector of its null space, orthogonal to the first two
     rng = np.random.default_rng(8)
     basis = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
     half = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
