@@ -161,9 +161,12 @@ class CombinerFactors:
     """Stream-space factors of one MMSE combiner; see ``_split_factors``.
 
     ``truth`` is None for a combiner designed from the true interference.
+    ``r22_gram`` is R22^H R22, the part of the signal term T that no
+    operating point changes.
     """
 
     r22: np.ndarray
+    r22_gram: np.ndarray
     f: np.ndarray
     lam: np.ndarray
     truth: np.ndarray | None = None
@@ -200,7 +203,7 @@ def _split_factors(signal: np.ndarray, estimate: np.ndarray,
     if error is not None:
         truth = np.concatenate([_ct(w) @ (r11 + r[:, :ni, ni + ns:]),
                                 r[:, ni:ni + ns, ni + ns:]], axis=1)
-    return CombinerFactors(r22, _ct(r12) @ w, s ** 2, truth)
+    return CombinerFactors(r22, _ct(r22) @ r22, _ct(r12) @ w, s ** 2, truth)
 
 
 class StreamRates:
@@ -232,12 +235,16 @@ class StreamRates:
     """
 
     def __init__(self, desired: np.ndarray, interference: np.ndarray, chol: np.ndarray):
-        _, m, ns = desired.shape
+        k, m, ns = desired.shape
         ni = interference.shape[2]
         self.shape = (m, ns, ni)
         self._desired, self._interference, self._chol = desired, interference, chol
-        # coordinates of B_w and A_w in an orthonormal basis of their joint span
-        white = np.concatenate([np.linalg.solve(chol, interference), desired], axis=2)
+        # coordinates of B_w and A_w in an orthonormal basis of their joint
+        # span; filling one buffer keeps the heap from growing around a
+        # freed B_w that the QR's copy no longer fits
+        white = np.empty((k, m, ni + ns), dtype=complex)
+        white[:, :, :ni] = np.linalg.solve(chol, interference)
+        white[:, :, ni:] = desired
         r = np.linalg.qr(white, mode="r")
         self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
         self.aware = _split_factors(self._a_r, self._b_r)
@@ -273,7 +280,7 @@ class StreamRates:
         """Rate of the MMSE combiner with ``factors`` against the true interference."""
         f, r22 = factors.f, factors.r22
         f_d = f / (1.0 + b * factors.lam)[:, None, :]
-        signal = _ct(r22) @ r22 + f_d @ _ct(f)                   # T
+        signal = factors.r22_gram + f_d @ _ct(f)                 # T
         if factors.truth is None:
             gain = signal                                        # X = T
         else:

@@ -48,19 +48,28 @@ def phase_project(vectors: np.ndarray) -> np.ndarray:
 def top_eigvecs_factored(basis: np.ndarray, core: np.ndarray, n: int) -> np.ndarray:
     """Dominant eigenvectors of basis @ core @ basis^H without forming it.
 
-    ``basis`` is (N, P), tall or short, and ``core`` Hermitian PSD (P, P);
-    with basis = Q R the eigenproblem is solved for R core R^H in the
-    column space, of dimension min(N, P), and lifted by Q.
+    ``basis`` is (N, P), tall or short, and ``core`` Hermitian PSD (P, P).
+    With basis = Q R the eigenproblem is solved for R core R^H, of dimension
+    min(N, P), but Q is never formed: only R is taken from the QR. The top
+    n eigenvectors Y, with eigenvalues lam, are lifted as the orthonormal
+    factor of the thin QR of Z = basis core R^H Y = Q Y diag(lam): one path
+    for tall, short and rank-deficient bases. A zero eigenvalue leaves its
+    column of Z at the rounding level, and the QR still returns a unit
+    vector orthogonal to the earlier columns, which span the covariance's
+    range: a vector of its null space. Orthonormalizing instead of dividing
+    by lam_i keeps the lift's error near eps lam_1 / lam_i, within the
+    eigenvector's own condition eps lam_1 / gap_i, since the gap to its
+    neighbours is at most lam_i.
     """
-    q, r = np.linalg.qr(basis)
+    r = np.linalg.qr(basis, mode="r")
     small = r @ core @ r.conj().T
     small = 0.5 * (small + small.conj().T)
     if n > small.shape[0]:
         raise DegenerateInputError(
             f"covariance rank {small.shape[0]} cannot supply {n} eigenvectors")
     _, vecs = np.linalg.eigh(small)
-    top = q @ vecs[:, ::-1][:, :n]
-    return _fix_column_phases(top)[0]
+    lifted = basis @ (core @ (r.conj().T @ vecs[:, ::-1][:, :n]))
+    return _fix_column_phases(np.linalg.qr(lifted)[0])[0]
 
 
 def bb_svd(effective: np.ndarray, num_streams: int):

@@ -342,6 +342,24 @@ def test_one_access_path_serves_each_user():
         assert rows and failure is None, (experiment, failure)
 
 
+@pytest.mark.filterwarnings("ignore:panel separation")   # small panels, far field
+def test_more_receive_chains_than_iab_antennas_fail_every_trial():
+    # 2 users x 3 chains on a 2 x 2 IAB panel: the rf-chain-rule clause
+    # users * L <= iab_elements is the only rule this config breaks, and no
+    # trial of either structure could run it
+    cfg = replace(TINY, iab_rows=2, iab_cols=2, users=2, rx_chains_per_subarray=3,
+                  experiments=("fig4",))
+    with pytest.raises(ConfigurationError,
+                       match="^rf-chain-rule: more receive RF chains than IAB antennas$"):
+        cfg.validate()
+    for structure in cfg.structures:
+        single = replace(cfg, structures=(structure,))
+        scn = harness.build_scenario(single)
+        for trial in range(single.trials):
+            rows, failure = harness.run_trial(single, scn, "fig4", trial)
+            assert not rows and failure[0] == "DegenerateInputError", (structure, trial)
+
+
 def test_config_accepts_pure_line_of_sight_si(tmp_path):
     # the one infinite setting: an infinite Rician factor, in code and in a file
     replace(TINY, si_rician_db=float("inf")).validate()

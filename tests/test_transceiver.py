@@ -96,6 +96,19 @@ def test_subarray_structure_random_sizes():
             assert np.all(w[off, col] == 0.0)
 
 
+def _clipped_steering_case():
+    """A 32 x 16 steering basis and a full-rank core. 10 of the 16 rays are
+    clipped to one elevation pole, so their steering vectors coincide to
+    rounding: R is singular to working precision and the basis has numerical
+    rank 7."""
+    pole = np.random.default_rng(1)
+    elevation = pole.uniform(-1.2, 1.2, 16)
+    elevation[:10] = np.pi / 2
+    clipped = steering_matrix(ArrayGeometry(4, 8), pole.uniform(-np.pi, np.pi, 16), elevation)
+    core = pole.standard_normal((16, 16)) + 1j * pole.standard_normal((16, 16))
+    return clipped, core @ core.conj().T
+
+
 def test_factored_eigvectors_match_dense():
     rng = np.random.default_rng(7)
 
@@ -103,15 +116,7 @@ def test_factored_eigvectors_match_dense():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     basis, core = gaussian(24, 6), gaussian(6, 6)
-    cases = [(basis, core @ core.conj().T)]
-    # 10 of 16 rays clipped to one elevation pole: their steering vectors
-    # coincide to rounding and R is singular to working precision
-    pole = np.random.default_rng(1)
-    elevation = pole.uniform(-1.2, 1.2, 16)
-    elevation[:10] = np.pi / 2
-    clipped = steering_matrix(ArrayGeometry(4, 8), pole.uniform(-np.pi, np.pi, 16), elevation)
-    core = pole.standard_normal((16, 16)) + 1j * pole.standard_normal((16, 16))
-    cases.append((clipped, core @ core.conj().T))
+    cases = [(basis, core @ core.conj().T), _clipped_steering_case()]
     # a short block: fewer elements than paths
     core = gaussian(10, 10)
     cases.append((gaussian(6, 10), core @ core.conj().T))
@@ -126,18 +131,22 @@ def test_factored_eigvectors_match_dense():
 
 
 def test_factored_eigvectors_of_a_rank_deficient_covariance():
-    # a covariance of rank 2: the third vector, lifted through Q, is still a
-    # unit vector of its null space, orthogonal to the first two
+    # asked for more vectors than the covariance's rank, the lift still gives
+    # orthonormal columns: the dominant ones match dense eigh and the rest
+    # are unit vectors of its null space, orthogonal to the first ones
     rng = np.random.default_rng(8)
     basis = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
     half = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    core = half @ half.conj().T
-    dense = basis @ core @ basis.conj().T
-    v = top_eigvecs_factored(basis, core, 3)
-    assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-    v_dense = np.linalg.eigh(dense)[1][:, ::-1][:, :2]
-    assert np.allclose(np.abs(v[:, :2].conj().T @ v_dense), np.eye(2), atol=1e-8)
-    assert np.linalg.norm(dense @ v[:, 2]) <= 1e-12 * np.linalg.norm(dense, 2)
+    # a core of rank 2; then the clipped basis of numerical rank 7
+    cases = [(basis, half @ half.conj().T, 2, 3), (*_clipped_steering_case(), 7, 9)]
+    for basis, core, rank, n in cases:
+        dense = basis @ core @ basis.conj().T
+        v = top_eigvecs_factored(basis, core, n)
+        assert np.allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
+        v_dense = np.linalg.eigh(dense)[1][:, ::-1][:, :rank]
+        assert np.allclose(np.abs(v[:, :rank].conj().T @ v_dense), np.eye(rank), atol=1e-8)
+        null = np.linalg.norm(dense @ v[:, rank:], axis=0)
+        assert np.all(null <= 1e-12 * np.linalg.norm(dense, 2))
 
 
 def test_rf_design_errors():
