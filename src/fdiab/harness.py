@@ -157,7 +157,7 @@ def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
 def _fig6_subarray_rows(cfg, scn, real, access, chains, snr, trial) -> list[dict]:
     backhaul = BackhaulLinkDesign(real, BackhaulLink(scn, real, "subarray", chains), access)
     results = backhaul.evaluate("ideal", snr)
-    no_dsic = backhaul.evaluate("ideal", snr, backhaul.rates.blind_combiner())["fd"]
+    no_dsic = backhaul.evaluate("ideal", snr, backhaul.blind_combiner())["fd"]
     return [
         _row("fig6", "subarray", "backhaul", "fd", cfg.sic_snr_db, 0.0,
              chains, "ideal", trial, results["fd"].se_bps_hz, 0.0),

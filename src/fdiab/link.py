@@ -17,9 +17,9 @@ full-digital and hybrid schemes comparable.
 
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
-``se_backhaul`` evaluates any linear backhaul combiner; ``StreamRates``
-gives the full-duplex rate of each MMSE combiner the backhaul may use,
-passed as a value, in closed form from one routine.
+``se_backhaul`` evaluates any linear backhaul combiner; ``combiner_rate``
+gives the full-duplex rate of an MMSE combiner, held as the value of its
+stream-space ``CombinerFactors``, in closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -206,91 +206,38 @@ def _split_factors(signal: np.ndarray, estimate: np.ndarray,
     return CombinerFactors(r22, _ct(r22) @ r22, _ct(r12) @ w, s ** 2, truth)
 
 
-class StreamRates:
-    """Full-duplex backhaul rates in the N_s-dimensional stream space.
+def combiner_rate(factors: CombinerFactors, a: float, b: float) -> SeResult:
+    """Full-duplex rate of the MMSE combiner with ``factors`` against the true interference.
 
-    ``desired`` A_w = L^{-1} A (K, M, N_s) is the desired effective channel
-    whitened by ``chol`` L, the Cholesky factor of the noise covariance's shape
-    (``BackhaulLink.white``); ``interference`` B (K, M, N_i) is the interfering
-    one, whitened here (B_w = L^{-1} B). Both include their baseband precoders
-    but no insertion loss. An operating point enters only through two scalars:
-    ``a`` = p_s s_tx^2 / n and ``b`` = p_i s_i^2 / n, with p_s and p_i the
-    per-stream powers, s_tx and s_i the transmit-side amplitude scales of the
-    desired and interfering links, and n the noise power.
-
-    Each full-duplex combiner is a value, the factors of an MMSE combiner
-    designed from an estimate of B: ``aware`` knows B, ``combiner(error)`` errs
-    by ``error``, ``blind_combiner()`` estimates zero; ``rate`` judges each
-    against B. A combiner whose columns span R^{-1} A, with R the covariance it
-    balances against, loses no information (Tse and Viswanath, *Fundamentals of
-    Wireless Communication*, sec. 8.3). For a combiner with coordinates V that
-    sees the signal term T and the true interference through E = V^H (B_w's
-    coordinates), the rate is
+    The rate lives in the N_s-dimensional stream space, where an operating
+    point enters only through two scalars: ``a`` = p_s s_tx^2 / n and
+    ``b`` = p_i s_i^2 / n, with p_s and p_i the per-stream powers, s_tx and
+    s_i the transmit-side amplitude scales of the desired and interfering
+    links, and n the noise power. A combiner whose columns span R^{-1} A,
+    with R the covariance it balances against, loses no information (Tse and
+    Viswanath, *Fundamentals of Wireless Communication*, sec. 8.3). For a
+    combiner with coordinates V that sees the signal term T and the true
+    interference through E = V^H (B_w's coordinates), the rate is
 
         log2 det(I + a T X^{-1} T),  X = V^H V + b E E^H,
 
     with X taken as R_x^H R_x from a QR of the stacked [V; sqrt(b) E^H], so
     its spread of eigenvalues is never formed. For the combiner that knows
-    B, X = T and the rate is log2 det(I + a T).
+    the interference, X = T and the rate is log2 det(I + a T).
     """
-
-    def __init__(self, desired: np.ndarray, interference: np.ndarray, chol: np.ndarray):
-        k, m, ns = desired.shape
-        ni = interference.shape[2]
-        self.shape = (m, ns, ni)
-        self._desired, self._interference, self._chol = desired, interference, chol
-        # coordinates of B_w and A_w in an orthonormal basis of their joint
-        # span; filling one buffer keeps the heap from growing around a
-        # freed B_w that the QR's copy no longer fits
-        white = np.empty((k, m, ni + ns), dtype=complex)
-        white[:, :, :ni] = np.linalg.solve(chol, interference)
-        white[:, :, ni:] = desired
-        r = np.linalg.qr(white, mode="r")
-        self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
-        self.aware = _split_factors(self._a_r, self._b_r)
-
-    def combiner(self, error: np.ndarray | None = None) -> CombinerFactors:
-        """Factors of the MMSE combiner designed from the estimate B - ``error``.
-
-        ``error`` (K, M, N_i) is the estimation error itself, so the true
-        interference B = estimate + error is never recovered as a difference;
-        without it the combiner knows B. Cancelling the estimate takes at
-        least N_s + N_i receive chains; fewer raise a configuration error.
-        """
-        m, ns, ni = self.shape
-        if m < ns + ni:
-            raise ConfigurationError(
-                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
-                f"plus {ni} interfering streams")
-        if error is None:
-            return self.aware
-        white = np.linalg.solve(self._chol, np.concatenate(
-            [self._interference - error, error], axis=2))
-        return _split_factors(self._desired, white[:, :, :ni], white[:, :, ni:])
-
-    def blind_combiner(self) -> CombinerFactors:
-        """Factors of the MMSE combiner designed as if there were no interference.
-
-        Its estimate is zero and its error the whole interference: a receiver
-        without digital cancellation.
-        """
-        return _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r)
-
-    def rate(self, factors: CombinerFactors, a: float, b: float) -> SeResult:
-        """Rate of the MMSE combiner with ``factors`` against the true interference."""
-        f, r22 = factors.f, factors.r22
-        f_d = f / (1.0 + b * factors.lam)[:, None, :]
-        signal = factors.r22_gram + f_d @ _ct(f)                 # T
-        if factors.truth is None:
-            gain = signal                                        # X = T
-        else:
-            v = np.concatenate([_ct(f_d), r22], axis=1)          # combiner coordinates
-            leak = np.sqrt(b) * (_ct(factors.truth) @ v)         # sqrt(b) E^H
-            r_x = np.linalg.qr(np.concatenate([v, leak], axis=1), mode="r")
-            y = np.linalg.solve(_ct(r_x), signal)                # R_x^{-H} T
-            gain = y @ _ct(y)
-        _, logdet = np.linalg.slogdet(np.eye(self.shape[1]) + a * _herm(gain))
-        return rate_from_nats(logdet)
+    f, r22 = factors.f, factors.r22
+    f_d = f / (1.0 + b * factors.lam)[:, None, :]
+    signal = factors.r22_gram + f_d @ _ct(f)                     # T
+    if factors.truth is None:
+        gain = signal                                            # X = T
+    else:
+        v = np.concatenate([_ct(f_d), r22], axis=1)              # combiner coordinates
+        leak = np.sqrt(b) * (_ct(factors.truth) @ v)             # sqrt(b) E^H
+        r_x = np.linalg.qr(np.concatenate([v, leak], axis=1), mode="r")
+        y = np.linalg.solve(_ct(r_x), signal)                    # R_x^{-H} T
+        gain = y @ _ct(y)
+    _, logdet = np.linalg.slogdet(np.eye(r22.shape[-1]) + a * _herm(gain))
+    return rate_from_nats(logdet)
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,

@@ -11,7 +11,8 @@ A design passes three stages:
   once per (channel, side, network) of a drop (``Realization.rf_stage``);
 - baseband: zero forcing across access users, one equal-power stream per
   donor chain (``normalize_power``), the link's whitening of its desired
-  channel and the receiver's ``StreamRates`` factoring;
+  channel and the receiver's joint factoring of the whitened desired and
+  interfering channels (``BackhaulLinkDesign``);
 - evaluation: ``BackhaulLink.interference_free`` and each design's
   ``evaluate``, per phase-shifter kind and SNR point under every duplex mode.
 
@@ -34,8 +35,9 @@ from .arrays import ArrayGeometry
 from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelParts,
                       ci_path_loss, estimation_error, sample_cluster_geometry,
                       si_channel_parts)
-from .link import (CombinerFactors, SeResult, SnrPoint, StreamRates, duplex_rates,
-                   rate_from_nats, se_access)
+from .errors import ConfigurationError
+from .link import (CombinerFactors, SeResult, SnrPoint, _split_factors, combiner_rate,
+                   duplex_rates, rate_from_nats, se_access)
 from .rfil import RfilBudget, RfNetwork
 from .transceiver import normalize_power, phase_project, top_eigvecs_factored, zf_bb_precoder
 # unused here; the benchmark's tracer still wraps these three names in this module
@@ -182,10 +184,10 @@ class AccessLinkDesign:
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(IAB transmit, user receive) per-path budgets."""
-        # known defect (ROADMAP item 5): in the subarray structure the user
+        # known defect (ROADMAP item 1; the strict xfail in perfbench/test_checks.py,
+        # test_rfil_when_user_array_differs): in the subarray structure the user
         # side prices the user's combiner over an IAB subarray of N_iab / U
-        # elements, not over the user's own array; the two agree only when the
-        # arrays have equal size, as in the defaults
+        # elements, not over its own array; they agree for equal sizes, as by default
         user = self.user_net if self.structure == "fully-connected" else self.tx_net
         return self.tx_net.budget("tx", ps_kind), user.budget("rx", ps_kind)
 
@@ -231,7 +233,7 @@ class BackhaulLink:
         return self.tx_net.budget("tx", ps_kind), self.rx_net.budget("rx", ps_kind)
 
     def a(self, ps_kind: str, snr: SnrPoint) -> float:
-        """``StreamRates``' ``a``; the receive-side loss cancels, so only the donor's enters."""
+        """``combiner_rate``'s ``a``; the receive-side loss cancels, so only the donor's enters."""
         tx_scale = self.budgets(ps_kind)[0].linear_scale
         return snr.stream_power(self.scn.users) * tx_scale ** 2 / snr.noise_power
 
@@ -241,35 +243,71 @@ class BackhaulLink:
 
 
 class BackhaulLinkDesign:
-    """Full-duplex receiver of ``link`` while the IAB node serves its users in band."""
+    """Full-duplex receiver of ``link`` while the IAB node serves its users in band.
+
+    It whitens the interference B = ``g_si0 @ access.f_bb`` (K, M, N_i) as
+    B_w = L^{-1} B and factors it jointly with the link's A_w. Each MMSE
+    combiner is a value designed from an estimate of B: ``aware`` knows B,
+    ``combiner`` errs by an estimation error, ``blind_combiner()`` estimates
+    zero; ``evaluate`` judges each against B through ``combiner_rate``.
+    """
 
     def __init__(self, real: Realization, link: BackhaulLink, access: AccessLinkDesign):
         self.link, self.access = link, access
         self.g_si0 = real.si.effective(link.w_rf, access.f_rf)   # (K, M, U)
-        self.rates = StreamRates(link.white, self.g_si0 @ access.f_bb, link.chol)
+        self.interference = self.g_si0 @ access.f_bb             # B, (K, M, N_i)
+        k, m, ns = link.white.shape
+        ni = self.interference.shape[2]
+        # coordinates of B_w and A_w in an orthonormal basis of their joint
+        # span; filling one buffer keeps the heap from growing around a
+        # freed B_w that the QR's copy no longer fits
+        white = np.empty((k, m, ni + ns), dtype=complex)
+        white[:, :, :ni] = np.linalg.solve(link.chol, self.interference)
+        white[:, :, ni:] = link.white
+        r = np.linalg.qr(white, mode="r")
+        self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
+        self.aware = _split_factors(self._a_r, self._b_r)
 
-    def combiner(self, sigma_e: float, cee_noise: np.ndarray) -> CombinerFactors:
+    def combiner(self, sigma_e: float, cee_noise: np.ndarray | None) -> CombinerFactors:
         """Factors of the full-duplex combiner designed from the SI estimate.
 
         The estimated effective SI channel has the error ``estimation_error``
         at ``sigma_e``; ``cee_noise`` is its unit-variance draw, shared by a
-        sweep over sigma_e. At sigma_e = 0 the estimate is exact. The error
+        sweep over sigma_e. At sigma_e = 0 the estimate is exact (``aware``).
+        The error enters as itself, never as a difference B - estimate, and
         does not depend on the operating point, so one factoring serves every
-        phase-shifter kind and SNR.
+        phase-shifter kind and SNR. Cancelling the estimate takes at least
+        N_s + N_i receive chains; fewer raise a configuration error.
         """
+        m, ns = self.link.white.shape[1:]
+        ni = self.interference.shape[2]
+        if m < ns + ni:
+            raise ConfigurationError(
+                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
+                f"plus {ni} interfering streams")
         if sigma_e == 0.0:
-            return self.rates.combiner()
+            return self.aware
         error = estimation_error(self.g_si0, sigma_e, cee_noise) @ self.access.f_bb
-        return self.rates.combiner(error)
+        white = np.linalg.solve(self.link.chol, np.concatenate(
+            [self.interference - error, error], axis=2))
+        return _split_factors(self.link.white, white[:, :, :ni], white[:, :, ni:])
+
+    def blind_combiner(self) -> CombinerFactors:
+        """Factors of the MMSE combiner designed as if there were no interference.
+
+        Its estimate is zero and its error the whole interference: a receiver
+        without digital cancellation.
+        """
+        return _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r)
 
     def evaluate(self, ps_kind: str, snr: SnrPoint,
                  combiner: CombinerFactors | None = None) -> dict[str, SeResult]:
         """Spectral efficiency per duplexing mode at one operating point.
 
         The full-duplex rate is that of the combiner with the factors
-        ``combiner`` (by default the exact SI estimate's; see ``combiner`` and
-        ``rates.blind_combiner()``) against the true SI channel; the other
-        modes read the link's interference-free rate.
+        ``combiner`` (by default ``aware``; see ``combiner`` and
+        ``blind_combiner``) against the true SI channel; the other modes read
+        the link's interference-free rate.
         """
         link, scn = self.link, self.link.scn
         a = link.a(ps_kind, snr)
@@ -277,8 +315,8 @@ class BackhaulLinkDesign:
         acc_scale = self.access.budgets(ps_kind)[0].linear_scale
         p = snr.stream_power(scn.users)
         b = p * scn.si_power_advantage * acc_scale ** 2 / snr.noise_power
-        factors = self.rates.combiner() if combiner is None else combiner
-        return duplex_rates(self.rates.rate(factors, a, b), link.interference_free(a))
+        factors = self.combiner(0.0, None) if combiner is None else combiner
+        return duplex_rates(combiner_rate(factors, a, b), link.interference_free(a))
 
 
 def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) -> SeResult:
@@ -289,6 +327,5 @@ def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) ->
     """
     ns = scn.users
     sigma = real.backhaul.subcarrier_singular_values(ns)
-    p = snr.stream_power(ns)
-    se_k = np.sum(np.log2(1.0 + p * sigma ** 2 / snr.noise_power), axis=1)
-    return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)
+    a = snr.stream_power(ns) / snr.noise_power
+    return rate_from_nats(np.sum(np.log1p(a * sigma ** 2), axis=1))

@@ -19,7 +19,7 @@ from fdiab.channel import draw_cee_noise, perturb_effective_channel
 from fdiab.config import EXPERIMENTS, PS_KINDS, STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder, run_trial
-from fdiab.link import DUPLEX_MODES, se_backhaul
+from fdiab.link import DUPLEX_MODES, combiner_rate, se_backhaul
 from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
                             build_scenario, draw_realization)
 from fdiab.transceiver import mmse_bb_combiner
@@ -77,11 +77,10 @@ def test_duplex_modes_of_production_designs(drop, structure, ps_kind, snr_db, si
     fd, ideal = bh["fd"].se_bps_hz, bh["fd_perfect_sic"].se_bps_hz
     assert fd <= ideal * (1.0 + 1e-12)
     # without interference power every MMSE combiner has the link's rate
-    rates = backhaul.rates
     for a in (1e2, 1e5):
         want = link.interference_free(a).per_subcarrier
-        for combiner in (rates.aware, mismatched, rates.blind_combiner()):
-            got = rates.rate(combiner, a, 0.0).per_subcarrier
+        for combiner in (backhaul.aware, mismatched, backhaul.blind_combiner()):
+            got = combiner_rate(combiner, a, 0.0).per_subcarrier
             assert np.all(np.abs(got - want) <= 1e-12 * want), (a, got, want)
 
 
@@ -143,7 +142,7 @@ def test_closed_form_rates_match_general_combiner_path(drop, structure, ps_kind,
                          (cfg.subcarriers, cfg.users * cfg.rx_chains_per_subarray, cfg.users))
     closed = backhaul.evaluate(ps_kind, snr, backhaul.combiner(sigma_e, cee))
     closed["fd_no_dsic"] = backhaul.evaluate(ps_kind, snr,
-                                             backhaul.rates.blind_combiner())["fd"]
+                                             backhaul.blind_combiner())["fd"]
     general = _general_rates(real, backhaul, ps_kind, snr, sigma_e, cee)
     # the general path itself is off by up to 1e-11 on the blind combiner's
     # rate; with an estimation error the two paths differed by up to 8.2e-13

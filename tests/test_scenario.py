@@ -1,3 +1,5 @@
+import copy
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from fdiab.channel import draw_cee_noise, estimation_error, near_field_los
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder
-from fdiab.link import StreamRates
+from fdiab.link import combiner_rate
 from fdiab.rfil import PS_KINDS, RfNetwork, loss_fully_connected
 from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
                             build_scenario, draw_realization, full_digital_backhaul_se,
@@ -208,20 +210,21 @@ def test_donor_svd_precoder_leaves_every_rate_unchanged(drop, structure):
     totals = np.linalg.norm(link.f_rf[None] @ svd, axis=(1, 2)) ** 2
     svd = svd * np.sqrt(scn.users / totals)[:, None, None]
     precoded = eff @ svd
-    old = StreamRates(np.linalg.solve(link.chol, precoded), bh.g_si0 @ access.f_bb, link.chol)
+    old_link = copy.copy(link)
+    old_link.white = np.linalg.solve(link.chol, precoded)
+    old = BackhaulLinkDesign(real, old_link, access)
     assert not np.allclose(precoded, eff @ link.f_bb)
     cee = draw_cee_noise(np.random.default_rng(3), (scn.num_subcarriers, 2 * scn.users,
                                                     scn.users))
-    error = estimation_error(bh.g_si0, 0.1, cee) @ access.f_bb
     # the operating points at -10 and 20 dB with ideal phase shifters
     for snr in (scn.snr_point(-10.0), scn.snr_point(20.0)):
         a = snr.stream_power(scn.users) / snr.noise_power
         b = a * scn.si_power_advantage
-        pairs = [(bh.rates.rate(bh.rates.aware, a, b), old.rate(old.aware, a, b)),
-                 (bh.rates.rate(bh.combiner(0.1, cee), a, b),
-                  old.rate(old.combiner(error), a, b)),
-                 (bh.rates.rate(bh.rates.blind_combiner(), a, b),
-                  old.rate(old.blind_combiner(), a, b))]
+        pairs = [(combiner_rate(bh.aware, a, b), combiner_rate(old.aware, a, b)),
+                 (combiner_rate(bh.combiner(0.1, cee), a, b),
+                  combiner_rate(old.combiner(0.1, cee), a, b)),
+                 (combiner_rate(bh.blind_combiner(), a, b),
+                  combiner_rate(old.blind_combiner(), a, b))]
         for new, ref in pairs:
             assert np.allclose(new.per_subcarrier, ref.per_subcarrier, rtol=1e-12, atol=0)
         old_free = _joint_interference_free(link.chol, bh.g_si0 @ access.f_bb, precoded, a)
@@ -256,7 +259,7 @@ def test_interference_aware_combiner_beats_ignorant(drop):
         bh = _backhaul(scn, real, access, structure, 2)
         snr = scn.snr_point(10.0)
         aware = bh.evaluate("ideal", snr)["fd"]
-        blind = bh.evaluate("ideal", snr, bh.rates.blind_combiner())["fd"]
+        blind = bh.evaluate("ideal", snr, bh.blind_combiner())["fd"]
         assert aware.se_bps_hz >= blind.se_bps_hz - 1e-9
 
 
@@ -267,6 +270,13 @@ def test_ideal_components_bit_exact(drop):
     a = bh.evaluate("ideal", scn.snr_point(5.0))
     b = bh.evaluate("ideal", scn.snr_point(5.0))
     assert a["fd"].se_bps_hz == b["fd"].se_bps_hz
+    # the default combiner is the exact estimate's, ``aware``
+    cee = np.ones((scn.num_subcarriers, 2 * scn.users, scn.users), dtype=complex)
+    assert bh.combiner(0.0, cee) is bh.aware
+    c = bh.evaluate("ideal", scn.snr_point(5.0), bh.aware)
+    for mode in a:
+        assert a[mode].se_bps_hz == c[mode].se_bps_hz
+        assert np.array_equal(a[mode].per_subcarrier, c[mode].per_subcarrier)
 
 
 def test_rfil_ordering_passive_worst(drop):
@@ -348,7 +358,7 @@ def test_closed_form_rates_match_extended_precision_oracle(structure):
     bh = _backhaul(scn, real, access, structure, 2)
     snr = scn.snr_point(20.0)
     out = bh.evaluate("active", snr)
-    out["fd_no_dsic"] = bh.evaluate("active", snr, bh.rates.blind_combiner())["fd"]
+    out["fd_no_dsic"] = bh.evaluate("active", snr, bh.blind_combiner())["fd"]
     # the combiner designed from an estimate with error sigma_e, judged
     # against the truth: estimate plus error
     cee = draw_cee_noise(seeder("cee"), (scn.num_subcarriers, 2 * scn.users, scn.users))
