@@ -30,21 +30,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--results", required=True, help="results CSV from a run")
     fig.add_argument("--out", required=True, help="aggregated CSV path")
     fig.add_argument("--fig", action="append", choices=sorted(FIGURE_VIEWS),
-                     help="figure id; may repeat (default: all)")
+                     help="figure id; repeat the flag for more figures, each once (default: all)")
     return parser
+
+
+# (command-line flag, config field) of each run override
+_OVERRIDES = (("seed", "master_seed"), ("trials", "trials"), ("threads", "threads"))
 
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES
+                          if getattr(args, flag, None) is not None})
     cfg.validate()
     return cfg
 

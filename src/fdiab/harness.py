@@ -5,6 +5,10 @@ links; fig5 sweeps the effective SI-channel estimation error at fixed SNRs;
 fig6 varies the receive-chain count per subarray to expose the reach of
 digital cancellation against ideal references.
 
+``run_trial`` draws each trial's channel drop once and hands it to the
+experiment's row builder; ``CSV_COLUMNS`` is the row schema, the column
+names and cell types that building, writing and reading a row share.
+
 Every random draw site gets its own generator seeded from
 hash(master_seed, experiment, site, trial), so results are reproducible
 byte-for-byte regardless of worker count, and all schemes within a trial
@@ -32,8 +36,10 @@ from .scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign, Scena
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = ("experiment", "scheme", "link", "duplex", "snr_db", "sigma_e", "L",
-               "ps_kind", "trial", "se_bps_hz", "rfil_db")
+# column -> cell type of a results row, in CSV order
+CSV_COLUMNS = {"experiment": str, "scheme": str, "link": str, "duplex": str,
+               "snr_db": float, "sigma_e": float, "L": int, "ps_kind": str,
+               "trial": int, "se_bps_hz": float, "rfil_db": float}
 
 SORT_KEYS = ("experiment", "scheme", "snr_db", "sigma_e", "L", "trial", "link",
              "duplex", "ps_kind")
@@ -62,28 +68,25 @@ def _seeder(master_seed: int, experiment: str, trial: int):
     return make
 
 
-def _row(experiment, scheme, link, duplex, snr_db, sigma_e, chains, ps_kind, trial,
-         se, rfil_db) -> dict:
-    return {"experiment": experiment, "scheme": scheme, "link": link, "duplex": duplex,
-            "snr_db": float(snr_db), "sigma_e": float(sigma_e), "L": int(chains),
-            "ps_kind": ps_kind, "trial": int(trial), "se_bps_hz": float(se),
-            "rfil_db": float(rfil_db)}
+def _typed(cells: dict) -> dict:
+    """The row of ``cells`` in CSV order, each cell converted to its column's type."""
+    return {column: kind(cells[column]) for column, kind in CSV_COLUMNS.items()}
 
 
-# A trial draws its channels once. Each link design is read for its rows and
-# released, when its row builder returns or by del, before the next one is
-# built: a trial holds its drop and at most one design at a time.
+# A row builder turns one drawn drop into the rows of its experiment, all but
+# the experiment column. Each link design is read for its rows and released,
+# when its row builder returns or by del, before the next one is built: a
+# trial holds its drop and at most one design at a time.
 
-def _trial_fig4(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
-    seeder = _seeder(cfg.master_seed, "fig4", trial)
-    real = draw_realization(scn, seeder)
-    rows = []
-    for structure in cfg.structures:
-        rows += _fig4_rows(cfg, scn, real, structure, trial)
-    return rows
+def _per_structure(structure_rows):
+    """The row builder that runs ``structure_rows`` for each configured structure."""
+    def build(cfg: ExperimentConfig, scn: Scenario, real, seeder, trial: int) -> list[dict]:
+        return [row for structure in cfg.structures
+                for row in structure_rows(cfg, scn, real, seeder, structure, trial)]
+    return build
 
 
-def _fig4_rows(cfg, scn, real, structure, trial) -> list[dict]:
+def _fig4_rows(cfg, scn, real, seeder, structure, trial) -> list[dict]:
     chains = cfg.rx_chains_per_subarray
     access = AccessLinkDesign(scn, real, structure)
     backhaul = BackhaulLinkDesign(real, BackhaulLink(scn, real, structure, chains), access)
@@ -95,21 +98,13 @@ def _fig4_rows(cfg, scn, real, structure, trial) -> list[dict]:
         for link in cfg.links:
             budgets, evaluate = designs[link]
             tx_b, rx_b = budgets(ps_kind)
+            cells = dict(scheme=structure, link=link, sigma_e=0.0, L=chains,
+                         ps_kind=ps_kind, trial=trial, rfil_db=tx_b.total_db + rx_b.total_db)
             for snr_db in cfg.snr_db_grid:
                 results = evaluate(ps_kind, scn.snr_point(snr_db))
-                for duplex in cfg.duplexes:
-                    rows.append(_row("fig4", structure, link, duplex, snr_db, 0.0,
-                                     chains, ps_kind, trial, results[duplex].se_bps_hz,
-                                     tx_b.total_db + rx_b.total_db))
-    return rows
-
-
-def _trial_fig5(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
-    seeder = _seeder(cfg.master_seed, "fig5", trial)
-    real = draw_realization(scn, seeder)
-    rows = []
-    for structure in cfg.structures:
-        rows += _fig5_rows(cfg, scn, real, seeder, structure, trial)
+                rows += [dict(cells, duplex=duplex, snr_db=snr_db,
+                              se_bps_hz=results[duplex].se_bps_hz)
+                         for duplex in cfg.duplexes]
     return rows
 
 
@@ -124,51 +119,50 @@ def _fig5_rows(cfg, scn, real, seeder, structure, trial) -> list[dict]:
         combiner = backhaul.combiner(sigma_e, cee_noise)
         for ps_kind in cfg.cee_ps_kinds:
             bh_tx, bh_rx = backhaul.link.budgets(ps_kind)
-            rfil_db = bh_tx.total_db + bh_rx.total_db
+            cells = dict(scheme=structure, link="backhaul", sigma_e=sigma_e, L=chains,
+                         ps_kind=ps_kind, trial=trial, rfil_db=bh_tx.total_db + bh_rx.total_db)
             for snr_db in cfg.cee_snrs_db:
                 results = backhaul.evaluate(ps_kind, scn.snr_point(snr_db), combiner)
-                for duplex in ("fd", "hd"):
-                    rows.append(_row("fig5", structure, "backhaul", duplex, snr_db,
-                                     sigma_e, chains, ps_kind, trial,
-                                     results[duplex].se_bps_hz, rfil_db))
+                rows += [dict(cells, duplex=duplex, snr_db=snr_db,
+                              se_bps_hz=results[duplex].se_bps_hz)
+                         for duplex in ("fd", "hd")]
     return rows
 
 
-def _trial_fig6(cfg: ExperimentConfig, scn: Scenario, trial: int) -> list[dict]:
-    seeder = _seeder(cfg.master_seed, "fig6", trial)
-    real = draw_realization(scn, seeder)
+def _fig6_rows(cfg: ExperimentConfig, scn: Scenario, real, seeder, trial: int) -> list[dict]:
     snr = scn.snr_point(cfg.sic_snr_db)
+    # every fig6 row is a backhaul rate at the one SNR, with ideal phase shifters
+    cells = dict(link="backhaul", snr_db=cfg.sic_snr_db, sigma_e=0.0, ps_kind="ideal",
+                 trial=trial, rfil_db=0.0)
     access = AccessLinkDesign(scn, real, "subarray")
     rows = [row for chains in cfg.sic_chain_counts
-            for row in _fig6_subarray_rows(cfg, scn, real, access, chains, snr, trial)]
+            for row in _fig6_subarray_rows(scn, real, access, chains, snr, cells)]
     del access
     # the fully connected reference is the link alone, without its receiver
     fc = BackhaulLink(scn, real, "fully-connected", cfg.rx_chains_per_subarray)
-    rows.append(_row("fig6", "fully-connected", "backhaul", "fd_perfect_sic",
-                     cfg.sic_snr_db, 0.0, cfg.rx_chains_per_subarray, "ideal", trial,
-                     fc.interference_free(fc.a("ideal", snr)).se_bps_hz, 0.0))
+    rows.append(dict(cells, scheme="fully-connected", duplex="fd_perfect_sic",
+                     L=cfg.rx_chains_per_subarray,
+                     se_bps_hz=fc.interference_free(fc.a("ideal", snr)).se_bps_hz))
     del fc                              # the reference runs with the drop alone alive
     digital = full_digital_backhaul_se(real, scn, snr)
-    rows.append(_row("fig6", "full-digital", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
-                     0.0, 0, "ideal", trial, digital.se_bps_hz, 0.0))
+    rows.append(dict(cells, scheme="full-digital", duplex="fd_perfect_sic", L=0,
+                     se_bps_hz=digital.se_bps_hz))
     return rows
 
 
-def _fig6_subarray_rows(cfg, scn, real, access, chains, snr, trial) -> list[dict]:
+def _fig6_subarray_rows(scn, real, access, chains, snr, cells) -> list[dict]:
     backhaul = BackhaulLinkDesign(real, BackhaulLink(scn, real, "subarray", chains), access)
     results = backhaul.evaluate("ideal", snr)
     no_dsic = backhaul.evaluate("ideal", snr, backhaul.blind_combiner())["fd"]
-    return [
-        _row("fig6", "subarray", "backhaul", "fd", cfg.sic_snr_db, 0.0,
-             chains, "ideal", trial, results["fd"].se_bps_hz, 0.0),
-        _row("fig6", "subarray-no-dsic", "backhaul", "fd", cfg.sic_snr_db,
-             0.0, chains, "ideal", trial, no_dsic.se_bps_hz, 0.0),
-        _row("fig6", "subarray", "backhaul", "fd_perfect_sic", cfg.sic_snr_db,
-             0.0, chains, "ideal", trial, results["fd_perfect_sic"].se_bps_hz, 0.0),
-    ]
+    cells = dict(cells, L=chains)
+    return [dict(cells, scheme="subarray", duplex="fd", se_bps_hz=results["fd"].se_bps_hz),
+            dict(cells, scheme="subarray-no-dsic", duplex="fd", se_bps_hz=no_dsic.se_bps_hz),
+            dict(cells, scheme="subarray", duplex="fd_perfect_sic",
+                 se_bps_hz=results["fd_perfect_sic"].se_bps_hz)]
 
 
-_TRIALS = {"fig4": _trial_fig4, "fig5": _trial_fig5, "fig6": _trial_fig6}
+_ROW_BUILDERS = {"fig4": _per_structure(_fig4_rows), "fig5": _per_structure(_fig5_rows),
+                 "fig6": _fig6_rows}
 
 # Each worker process runs its LAPACK calls on one thread: with the default
 # per-process BLAS pool, workers and BLAS threads compete for the same cores.
@@ -179,14 +173,18 @@ def run_trial(cfg: ExperimentConfig, scenario: Scenario, experiment: str,
               trial: int) -> tuple[list[dict], tuple[str, str] | None]:
     """Rows of one trial and its failure as (exception type name, message).
 
-    The worker entry point of the sweep. A trial that meets one of the
+    The worker entry point of the sweep. It draws the trial's channel drop
+    and builds the experiment's rows from it. A trial that meets one of the
     numerical failures a sweep tolerates (a near-singular or degenerate
     channel) returns no rows and a failure record instead of raising, so the
     record crosses a process boundary as plain data. Any other exception
     propagates and stops the run.
     """
     try:
-        return _TRIALS[experiment](cfg, scenario, trial), None
+        seeder = _seeder(cfg.master_seed, experiment, trial)
+        real = draw_realization(scenario, seeder)
+        rows = _ROW_BUILDERS[experiment](cfg, scenario, real, seeder, trial)
+        return [_typed(dict(row, experiment=experiment)) for row in rows], None
     except (NearSingularError, DegenerateInputError) as exc:
         return [], (type(exc).__name__, str(exc))
 
@@ -219,14 +217,11 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     cfg.validate()
     tasks = [(experiment, trial) for experiment in cfg.experiments
              for trial in range(cfg.trials)]
-    scenarios = {}
-    for experiment in cfg.experiments:
-        exp_cfg = cfg
-        if experiment == "fig5":
-            exp_cfg = replace(cfg, backhaul_distance_m=cfg.cee_backhaul_distance_m)
-        elif experiment == "fig6":
-            exp_cfg = replace(cfg, backhaul_distance_m=cfg.sic_backhaul_distance_m)
-        scenarios[experiment] = build_scenario(exp_cfg)
+    distances = {"fig4": cfg.backhaul_distance_m, "fig5": cfg.cee_backhaul_distance_m,
+                 "fig6": cfg.sic_backhaul_distance_m}
+    scenarios = {experiment: build_scenario(
+                     replace(cfg, backhaul_distance_m=distances[experiment]))
+                 for experiment in cfg.experiments}
 
     if cfg.threads > 1:
         # workers start at submit time, inside the single-threaded environment
@@ -256,10 +251,14 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     return result
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _write_table(path, columns, rows) -> None:
+    """UTF-8 CSV of ``rows`` under the header ``columns``, floats at 6 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{row[c]:.6g}" if isinstance(row[c], float) else row[c]
+                             for c in columns])
 
 
 def write_csv(result: SweepResult, path) -> None:
@@ -267,26 +266,13 @@ def write_csv(result: SweepResult, path) -> None:
     if not result.rows:
         raise ConfigurationError("empty-result: nothing to write")
     result.sort()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in result.rows:
-            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
+    _write_table(path, CSV_COLUMNS, result.rows)
 
 
 def read_csv(path) -> list[dict]:
-    """Read back a results CSV with numeric fields restored."""
-    out = []
+    """Read back a results CSV with each cell converted to its column's type."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.DictReader(fh):
-            record["snr_db"] = float(record["snr_db"])
-            record["sigma_e"] = float(record["sigma_e"])
-            record["L"] = int(record["L"])
-            record["trial"] = int(record["trial"])
-            record["se_bps_hz"] = float(record["se_bps_hz"])
-            record["rfil_db"] = float(record["rfil_db"])
-            out.append(record)
-    return out
+        return [_typed(record) for record in csv.DictReader(fh)]
 
 
 FIGURE_VIEWS = {
@@ -315,30 +301,24 @@ def aggregate_figure(rows: list[dict], figure: str) -> list[dict]:
     filters = {k: v for k, v in view.items() if k != "keys"}
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        if any(row[k] != v for k, v in filters.items()):
-            continue
-        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+        if all(row[k] == v for k, v in filters.items()):
+            groups.setdefault(tuple(row[k] for k in keys), []).append(row)
     out = []
     for group_key in sorted(groups):
         members = groups[group_key]
         se = np.array([m["se_bps_hz"] for m in members])
-        cell = dict(members[0])
-        cell.update({
-            "figure": figure,
-            "se_mean": float(se.mean()),
-            "se_std": float(se.std(ddof=1)) if len(se) > 1 else 0.0,
-            "num_trials": len(se),
-        })
+        cell = dict(members[0], figure=figure, se_mean=float(se.mean()),
+                    se_std=float(se.std(ddof=1)) if len(se) > 1 else 0.0,
+                    num_trials=len(se))
         out.append({c: cell.get(c, "") for c in AGGREGATE_COLUMNS})
     return out
 
 
 def write_figure_csv(rows: list[dict], figures: list[str], path) -> None:
+    # a repeated figure would write each of its cells twice
+    if len(set(figures)) != len(figures):
+        raise ConfigurationError(f"figure-id: a figure is requested twice: {figures}")
     aggregated = [cell for figure in figures for cell in aggregate_figure(rows, figure)]
     if not aggregated:
         raise ConfigurationError("empty-result: no rows match the requested figures")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for cell in aggregated:
-            writer.writerow([_format_cell(cell[c]) for c in AGGREGATE_COLUMNS])
+    _write_table(path, AGGREGATE_COLUMNS, aggregated)

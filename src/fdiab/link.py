@@ -133,7 +133,8 @@ def se_backhaul(desired: np.ndarray, combiner: np.ndarray, snr: SnrPoint,
     columns, ``rsi_true`` (K, M, N_i) the true residual self-interference
     effective channel (leakage is evaluated against it even though the
     combiner was designed from an estimate); without it the rate is
-    interference free.
+    interference free. The sweep never calls it: it is the general-combiner
+    reference the tests check ``combiner_rate`` against.
     """
     if desired.shape != combiner.shape:
         raise DimensionError("desired channel and combiner shapes must match")

@@ -9,7 +9,9 @@ the block-diagonal subarray form, are assembled in ``fdiab.scenario``.
 Baseband stages are per subcarrier: zero forcing across users at the
 multiuser transmitter, and an MMSE combiner that whitens residual
 self-interference plus noise at the full-duplex receiver. The donor needs
-none (see ``fdiab.scenario.BackhaulLink``).
+none (see ``fdiab.scenario.BackhaulLink``). The receiver the sweep runs is
+``fdiab.scenario.BackhaulLinkDesign``, which holds its MMSE combiner in
+stream space; ``mmse_bb_combiner`` is the general form the tests compare it to.
 
 Determinism: eigen/singular vectors are rotated so their first significant
 entry is real and positive before any phase extraction.
@@ -131,7 +133,8 @@ def mmse_bb_combiner(desired: np.ndarray, rsi_estimate: np.ndarray | None,
 
     When an interference term is present the receiver needs at least
     N_s + N_i chains for the cancellation to have full effect; fewer chains
-    raise a configuration error.
+    raise a configuration error. The sweep never calls it: it is the general
+    combiner the tests check ``fdiab.scenario.BackhaulLinkDesign`` against.
     """
     if noise_power <= 0.0:
         raise DomainError("noise power must be positive")

@@ -2,6 +2,7 @@ import pytest
 
 from fdiab.cli import main
 from fdiab.config import ExperimentConfig, save_config
+from fdiab.harness import run_experiment, write_csv
 from dataclasses import replace
 
 TINY_INI = replace(
@@ -57,6 +58,25 @@ def test_run_seed_determinism(tmp_path, tiny_cfg):
     assert main(["run", "--config", tiny_cfg, "--out", str(b), "--seed", "7",
                  "--trials", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_overrides_take_effect(tmp_path, tiny_cfg):
+    out, expected, other = tmp_path / "out.csv", tmp_path / "expected.csv", tmp_path / "8.csv"
+    assert main(["run", "--config", tiny_cfg, "--out", str(out), "--seed", "7",
+                 "--trials", "1", "--threads", "2"]) == 0
+    write_csv(run_experiment(replace(TINY_INI, master_seed=7, trials=1)), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert main(["run", "--config", tiny_cfg, "--out", str(other), "--seed", "8",
+                 "--trials", "1"]) == 0
+    assert other.read_bytes() != out.read_bytes()
+
+
+def test_repeated_figure_exits_2(tmp_path, tiny_cfg):
+    out, agg = tmp_path / "results.csv", tmp_path / "fig.csv"
+    assert main(["run", "--config", tiny_cfg, "--out", str(out), "--trials", "1"]) == 0
+    assert main(["figures", "--results", str(out), "--out", str(agg),
+                 "--fig", "fig4a", "--fig", "fig4a"]) == 2
+    assert not agg.exists()
 
 
 def test_figures_without_matching_rows(tmp_path, tiny_cfg):

@@ -85,7 +85,7 @@ json.dump(run_experiment(cfg).rows, sys.stdout)
 """
 
 
-def _rows_independent_of_blas_threads(experiment: str, seed: int) -> list[dict]:
+def _blas_thread_independent_rows(experiment: str, seed: int) -> list[dict]:
     """Rows of trial 0 at the acceptance scale (K=128, 15 dB), run in-process at
     one and at two BLAS threads; asserts they agree within 1e-10 relative and
     returns those at one thread."""
@@ -112,13 +112,13 @@ def test_fig5_rows_independent_of_blas_threads():
     # than the signal per stream, so an evaluation that forms that
     # cancellation amplifies rounding, and with it the BLAS thread count,
     # into the rate
-    rows = _rows_independent_of_blas_threads("fig5", 309)
+    rows = _blas_thread_independent_rows("fig5", 309)
     assert any(row["duplex"] == "fd" and row["sigma_e"] > 0.0 for row in rows)
 
 
 def test_fig6_rows_independent_of_blas_threads():
     # the full-digital reference runs threaded matmul and eigvalsh in-process
-    rows = _rows_independent_of_blas_threads("fig6", 1)
+    rows = _blas_thread_independent_rows("fig6", 1)
     assert any(row["scheme"] == "full-digital" for row in rows)
 
 
@@ -201,14 +201,23 @@ def test_csv_columns_and_sorting(tmp_path):
 
 
 def test_csv_round_trip_six_significant_digits(tmp_path):
-    cfg = replace(TINY, experiments=("fig4",), trials=1, structures=("subarray",),
-                  ps_kinds=("ideal",), links=("backhaul",), duplexes=("fd",))
-    result = run_experiment(cfg)
-    path = tmp_path / "out.csv"
-    write_csv(result, path)
-    back = read_csv(path)
-    for orig, rt in zip(result.rows, back):
-        assert np.isclose(rt["se_bps_hz"], orig["se_bps_hz"], rtol=1e-5)
+    one_cell = replace(TINY, experiments=("fig4",), trials=1, structures=("subarray",),
+                       ps_kinds=("ideal",), links=("backhaul",), duplexes=("fd",))
+    for cfg in (one_cell, TINY):        # one cell, then every column of all three studies
+        result = run_experiment(cfg)
+        path = tmp_path / "out.csv"
+        write_csv(result, path)
+        back = read_csv(path)
+        assert len(back) == len(result.rows)
+        for orig, rt in zip(result.rows, back):
+            assert np.isclose(rt["se_bps_hz"], orig["se_bps_hz"], rtol=1e-5)
+            # every other cell reads back as written, with its schema type; a
+            # float is written at 6 digits (an RFIL sum can be 12.200000000000001)
+            assert list(rt) == list(CSV_COLUMNS)
+            assert all(type(rt[c]) is kind for c, kind in CSV_COLUMNS.items())
+            written = {c: float(f"{v:.6g}") if isinstance(v, float) else v
+                       for c, v in orig.items()}
+            assert {**rt, "se_bps_hz": 0.0} == {**written, "se_bps_hz": 0.0}
 
 
 def test_write_empty_result_rejected(tmp_path):
@@ -243,16 +252,25 @@ def test_figure_aggregation_mean_std(tmp_path):
         aggregate_figure(result.rows, "fig9")
 
 
+def test_repeated_figure_rejected(tmp_path):
+    # a repeated figure would write each of its cells twice
+    rows = run_experiment(replace(TINY, experiments=("fig4",), trials=1)).rows
+    out = tmp_path / "fig.csv"
+    with pytest.raises(ConfigurationError, match="^figure-id: "):
+        write_figure_csv(rows, ["fig4a", "fig4b", "fig4a"], out)
+    assert not out.exists()
+
+
 def test_failed_trials_logged_and_capped(monkeypatch):
     cfg = replace(TINY, experiments=("fig4",), trials=10)
-    original = harness._TRIALS["fig4"]
+    original = harness._ROW_BUILDERS["fig4"]
 
-    def flaky(c, s, trial):
+    def flaky(c, s, real, seeder, trial):
         if trial == 0:
             raise NearSingularError("boom")
-        return original(c, s, trial)
+        return original(c, s, real, seeder, trial)
 
-    monkeypatch.setitem(harness._TRIALS, "fig4", flaky)
+    monkeypatch.setitem(harness._ROW_BUILDERS, "fig4", flaky)
     result = run_experiment(cfg)  # one of ten failures is tolerated
     assert {r["trial"] for r in result.rows} == set(range(1, 10))
 
@@ -262,27 +280,27 @@ def test_failed_trials_logged_and_capped(monkeypatch):
     rows, failure = harness.run_trial(cfg, scn, "fig4", 1)
     assert failure is None and {r["trial"] for r in rows} == {1}
 
-    def very_flaky(c, s, trial):
+    def very_flaky(c, s, real, seeder, trial):
         if trial < 3:
             raise NearSingularError("boom")
-        return original(c, s, trial)
+        return original(c, s, real, seeder, trial)
 
-    monkeypatch.setitem(harness._TRIALS, "fig4", very_flaky)
+    monkeypatch.setitem(harness._ROW_BUILDERS, "fig4", very_flaky)
     with pytest.raises(RuntimeError, match="trials failed"):
         run_experiment(cfg)
 
 
 def test_programming_error_stops_the_run(monkeypatch):
     cfg = replace(TINY, experiments=("fig4",), trials=10)
-    original = harness._TRIALS["fig4"]
+    original = harness._ROW_BUILDERS["fig4"]
 
-    def broken(c, s, trial):
+    def broken(c, s, real, seeder, trial):
         if trial == 0:
             raise RuntimeError("boom")
-        return original(c, s, trial)
+        return original(c, s, real, seeder, trial)
 
     # one failure is within the 10 % cap, but only numerical failures are tolerated
-    monkeypatch.setitem(harness._TRIALS, "fig4", broken)
+    monkeypatch.setitem(harness._ROW_BUILDERS, "fig4", broken)
     with pytest.raises(RuntimeError, match="^boom$"):
         run_experiment(cfg)
 
