@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--results", required=True, help="results CSV from a run")
     fig.add_argument("--out", required=True, help="aggregated CSV path")
     fig.add_argument("--fig", action="append", choices=sorted(FIGURE_VIEWS),
-                     help="figure id; repeat the flag for more figures, each once (default: all)")
+                     help="figure id; repeat the flag for more figures, each once "
+                          "(default: every figure that has rows)")
     return parser
 
 
@@ -60,9 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(result.rows)} rows to {args.out}")
             return 0
         if args.command == "figures":
-            figures = args.fig or sorted(FIGURE_VIEWS)
-            rows = read_csv(args.results)
-            write_figure_csv(rows, figures, args.out)
+            write_figure_csv(read_csv(args.results), args.fig, args.out)
             print(f"wrote {args.out}")
             return 0
     except ConfigurationError as exc:

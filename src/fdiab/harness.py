@@ -112,8 +112,7 @@ def _fig5_rows(cfg, scn, real, seeder, structure, trial) -> list[dict]:
     chains = cfg.rx_chains_per_subarray
     access = AccessLinkDesign(scn, real, structure)
     backhaul = BackhaulLinkDesign(real, BackhaulLink(scn, real, structure, chains), access)
-    cee_noise = draw_cee_noise(seeder(f"cee/{structure}"),
-                               (cfg.subcarriers, cfg.users * chains, cfg.users))
+    cee_noise = draw_cee_noise(seeder(f"cee/{structure}"), backhaul.g_si0.shape)
     rows = []
     for sigma_e in cfg.sigma_e_grid:
         combiner = backhaul.combiner(sigma_e, cee_noise)
@@ -314,11 +313,16 @@ def aggregate_figure(rows: list[dict], figure: str) -> list[dict]:
     return out
 
 
-def write_figure_csv(rows: list[dict], figures: list[str], path) -> None:
+def write_figure_csv(rows: list[dict], figures: list[str] | None, path) -> None:
+    """Aggregated cells of ``figures``, or of every view that has rows if None.
+
+    A requested view without rows is an error, and no file is written.
+    """
     # a repeated figure would write each of its cells twice
-    if len(set(figures)) != len(figures):
+    if figures is not None and len(set(figures)) != len(figures):
         raise ConfigurationError(f"figure-id: a figure is requested twice: {figures}")
-    aggregated = [cell for figure in figures for cell in aggregate_figure(rows, figure)]
-    if not aggregated:
-        raise ConfigurationError("empty-result: no rows match the requested figures")
-    _write_table(path, AGGREGATE_COLUMNS, aggregated)
+    views = {figure: aggregate_figure(rows, figure) for figure in figures or sorted(FIGURE_VIEWS)}
+    empty = [figure for figure, cells in views.items() if not cells]
+    if empty and (figures or len(empty) == len(views)):
+        raise ConfigurationError(f"empty-result: no rows match the figures {empty}")
+    _write_table(path, AGGREGATE_COLUMNS, [cell for cells in views.values() for cell in cells])

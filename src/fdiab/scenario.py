@@ -10,9 +10,9 @@ A design passes three stages:
 - RF: eigenvector phase projections over an ``RfNetwork``'s blocks, built
   once per (channel, side, network) of a drop (``Realization.rf_stage``);
 - baseband: zero forcing across access users, one equal-power stream per
-  donor chain (``normalize_power``), the link's whitening of its desired
-  channel and the receiver's joint factoring of the whitened desired and
-  interfering channels (``BackhaulLinkDesign``);
+  donor chain (``normalize_power``), the whitening of the desired channel,
+  A_w, and of the interference, B_w, and each combiner's factoring by one
+  rule (``BackhaulLinkDesign``);
 - evaluation: ``BackhaulLink.interference_free`` and each design's
   ``evaluate``, per phase-shifter kind and SNR point under every duplex mode.
 
@@ -245,28 +245,19 @@ class BackhaulLink:
 class BackhaulLinkDesign:
     """Full-duplex receiver of ``link`` while the IAB node serves its users in band.
 
-    It whitens the interference B = ``g_si0 @ access.f_bb`` (K, M, N_i) as
-    B_w = L^{-1} B and factors it jointly with the link's A_w. Each MMSE
-    combiner is a value designed from an estimate of B: ``aware`` knows B,
-    ``combiner`` errs by an estimation error, ``blind_combiner()`` estimates
-    zero; ``evaluate`` judges each against B through ``combiner_rate``.
+    It keeps the interference B = ``g_si0 @ access.f_bb`` (K, M, N_i) only
+    whitened, ``white`` = B_w = L^{-1} B. Each MMSE combiner is a value,
+    ``_split_factors(link.white, B_w - E_w, E_w)`` for an estimate of B_w with
+    whitened error E_w: ``aware`` has E_w = 0, ``combiner`` an estimation
+    error, ``blind_combiner()`` E_w = B_w; ``evaluate`` judges each against B
+    through ``combiner_rate``.
     """
 
     def __init__(self, real: Realization, link: BackhaulLink, access: AccessLinkDesign):
         self.link, self.access = link, access
         self.g_si0 = real.si.effective(link.w_rf, access.f_rf)   # (K, M, U)
-        self.interference = self.g_si0 @ access.f_bb             # B, (K, M, N_i)
-        k, m, ns = link.white.shape
-        ni = self.interference.shape[2]
-        # coordinates of B_w and A_w in an orthonormal basis of their joint
-        # span; filling one buffer keeps the heap from growing around a
-        # freed B_w that the QR's copy no longer fits
-        white = np.empty((k, m, ni + ns), dtype=complex)
-        white[:, :, :ni] = np.linalg.solve(link.chol, self.interference)
-        white[:, :, ni:] = link.white
-        r = np.linalg.qr(white, mode="r")
-        self._b_r, self._a_r = r[:, :, :ni], r[:, :, ni:]
-        self.aware = _split_factors(self._a_r, self._b_r)
+        self.white = np.linalg.solve(link.chol, self.g_si0 @ access.f_bb)  # B_w, (K, M, N_i)
+        self.aware = _split_factors(link.white, self.white)
 
     def combiner(self, sigma_e: float, cee_noise: np.ndarray | None) -> CombinerFactors:
         """Factors of the full-duplex combiner designed from the SI estimate.
@@ -274,13 +265,14 @@ class BackhaulLinkDesign:
         The estimated effective SI channel has the error ``estimation_error``
         at ``sigma_e``; ``cee_noise`` is its unit-variance draw, shared by a
         sweep over sigma_e. At sigma_e = 0 the estimate is exact (``aware``).
-        The error enters as itself, never as a difference B - estimate, and
-        does not depend on the operating point, so one factoring serves every
-        phase-shifter kind and SNR. Cancelling the estimate takes at least
-        N_s + N_i receive chains; fewer raise a configuration error.
+        The error is whitened alone and enters as itself, never as a
+        difference B - estimate; it does not depend on the operating point, so
+        one factoring serves every phase-shifter kind and SNR. Cancelling the
+        estimate takes at least N_s + N_i receive chains; fewer raise a
+        configuration error.
         """
         m, ns = self.link.white.shape[1:]
-        ni = self.interference.shape[2]
+        ni = self.white.shape[2]
         if m < ns + ni:
             raise ConfigurationError(
                 f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
@@ -288,17 +280,20 @@ class BackhaulLinkDesign:
         if sigma_e == 0.0:
             return self.aware
         error = estimation_error(self.g_si0, sigma_e, cee_noise) @ self.access.f_bb
-        white = np.linalg.solve(self.link.chol, np.concatenate(
-            [self.interference - error, error], axis=2))
-        return _split_factors(self.link.white, white[:, :, :ni], white[:, :, ni:])
+        white_error = np.linalg.solve(self.link.chol, error)               # E_w
+        return _split_factors(self.link.white, self.white - white_error, white_error)
 
     def blind_combiner(self) -> CombinerFactors:
         """Factors of the MMSE combiner designed as if there were no interference.
 
-        Its estimate is zero and its error the whole interference: a receiver
-        without digital cancellation.
+        Its estimate is zero and its error the whole interference, E_w = B_w:
+        a receiver without digital cancellation. It is factored on the R
+        factor of [B_w | A_w], the same rates from N_i + N_s rows instead of
+        M, at a lower memory peak.
         """
-        return _split_factors(self._a_r, np.zeros_like(self._b_r), self._b_r)
+        ni = self.white.shape[2]
+        r = np.linalg.qr(np.concatenate([self.white, self.link.white], axis=2), mode="r")
+        return _split_factors(r[:, :, ni:], np.zeros_like(r[:, :, :ni]), r[:, :, :ni])
 
     def evaluate(self, ps_kind: str, snr: SnrPoint,
                  combiner: CombinerFactors | None = None) -> dict[str, SeResult]:

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from fdiab.cli import main
@@ -80,7 +82,15 @@ def test_repeated_figure_exits_2(tmp_path, tiny_cfg):
 
 
 def test_figures_without_matching_rows(tmp_path, tiny_cfg):
-    out = tmp_path / "results.csv"
+    # the TINY_INI sweep has no fig6 rows and, with active phase shifters
+    # only, no fig5b rows: a request for either exits 2 and writes nothing
+    out, agg = tmp_path / "results.csv", tmp_path / "x.csv"
     main(["run", "--config", tiny_cfg, "--out", str(out)])
-    assert main(["figures", "--results", str(out), "--out", str(tmp_path / "x.csv"),
-                 "--fig", "fig6"]) == 2
+    for figures in (["fig6"], ["fig4a", "fig6"], ["fig5a", "fig5b"]):
+        flags = [arg for figure in figures for arg in ("--fig", figure)]
+        assert main(["figures", "--results", str(out), "--out", str(agg), *flags]) == 2
+        assert not agg.exists()
+    # without --fig, every view that has rows
+    assert main(["figures", "--results", str(out), "--out", str(agg)]) == 0
+    with open(agg, encoding="utf-8", newline="") as fh:
+        assert {cell["figure"] for cell in csv.DictReader(fh)} == {"fig4a", "fig4b", "fig5a"}

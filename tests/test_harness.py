@@ -1,4 +1,5 @@
 import configparser
+import csv
 import json
 import os
 import subprocess
@@ -259,6 +260,20 @@ def test_repeated_figure_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="^figure-id: "):
         write_figure_csv(rows, ["fig4a", "fig4b", "fig4a"], out)
     assert not out.exists()
+
+
+def test_figures_without_rows(tmp_path):
+    # TINY runs fig5 with active phase shifters only, so fig5b has no rows: a
+    # request for it cannot be met, and the default set leaves it out
+    rows = run_experiment(replace(TINY, trials=1)).rows
+    out = tmp_path / "fig.csv"
+    with pytest.raises(ConfigurationError, match="^empty-result: .*'fig5b'"):
+        write_figure_csv(rows, ["fig4a", "fig5b"], out)
+    assert not out.exists()
+    write_figure_csv(rows, None, out)
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert {cell["figure"] for cell in csv.DictReader(fh)} == {"fig4a", "fig4b", "fig5a",
+                                                                   "fig6"}
 
 
 def test_failed_trials_logged_and_capped(monkeypatch):
