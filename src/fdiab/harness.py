@@ -229,7 +229,12 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [pool.submit(run_trial, cfg, scenarios[experiment], experiment,
                                    trial) for experiment, trial in tasks]
-            outcomes = [future.result() for future in futures]
+            try:
+                outcomes = [future.result() for future in futures]
+            except BaseException:
+                # the pool's exit would first run every queued trial
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         outcomes = [run_trial(cfg, scenarios[experiment], experiment, trial)
                     for experiment, trial in tasks]

@@ -18,8 +18,8 @@ full-digital and hybrid schemes comparable.
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
 ``se_backhaul`` evaluates any linear backhaul combiner; ``combiner_rate``
-gives the full-duplex rate of an MMSE combiner, held as the value of its
-stream-space ``CombinerFactors``, in closed form.
+gives every rate of an MMSE combiner, with or without interference, from
+its stream-space ``CombinerFactors`` in one closed form.
 """
 
 from __future__ import annotations
@@ -161,14 +161,12 @@ def rate_from_nats(nats: np.ndarray) -> SeResult:
 class CombinerFactors:
     """Stream-space factors of one MMSE combiner; see ``_split_factors``.
 
-    ``truth`` is None for a combiner designed from the true interference.
-    ``r22_gram`` is R22^H R22, the part of the signal term T that no
-    operating point changes.
+    ``truth`` is None for a combiner designed from the true interference;
+    every factor is in the singular basis of R22, whose values are ``s``.
     """
 
-    r22: np.ndarray
-    r22_gram: np.ndarray
-    f: np.ndarray
+    s: np.ndarray
+    g: np.ndarray
     lam: np.ndarray
     truth: np.ndarray | None = None
 
@@ -183,28 +181,29 @@ def _split_factors(signal: np.ndarray, estimate: np.ndarray,
     [Z | Y | E] = Q [[R11, R12, R13], [0, R22, R23], ...] splits the space
     into span(Z), the rest of span(Z, Y) and the rest (Golub and Van Loan,
     *Matrix Computations*, ch. 5). With R11 = W diag(sqrt(lam)) V^H,
-    F = R12^H W and d = 1 / (1 + b lam), the combiner has the coordinates
-    V = [diag(d) F^H; R22] in the first two blocks (the first rotated by W)
-    and none in the rest, and its signal term is
+    R22 = U diag(s) P^H, G = P^H R12^H W and d = 1 / (1 + b lam), the combiner
+    has the coordinates [diag(d) G^H; diag(s)] in the first two blocks (rotated
+    by W and U, its streams by P) and none in the rest, and its signal term is
 
-        T = Y^H (I + b Z Z^H)^{-1} Y = R22^H R22 + F diag(d) F^H,
+        T = P^H Y^H (I + b Z Z^H)^{-1} Y P = diag(s^2) + G diag(d) G^H,
 
-    a sum of positive terms that stays accurate however large b is. In the
-    same basis the true interference has the coordinates
-    ``truth`` = [W^H (R11 + R13); R23], so E enters as itself and never as a
-    difference of large terms.
-    Z may be zero: a combiner blind to the interference.
+    a sum of positive terms, with no Gram of R22, that stays accurate however
+    large b is. In the same basis the true interference has the coordinates
+    ``truth`` = [W^H (R11 + R13); U^H R23], so E enters as itself and never
+    as a difference of large terms.
+    Z may be zero (a combiner blind to the interference) or empty (none).
     """
     ni, ns = estimate.shape[2], signal.shape[2]
     blocks = [estimate, signal] if error is None else [estimate, signal, error]
     r = np.linalg.qr(np.concatenate(blocks, axis=2), mode="r")
     r11, r12, r22 = r[:, :ni, :ni], r[:, :ni, ni:ni + ns], r[:, ni:ni + ns, ni:ni + ns]
-    w, s, _ = np.linalg.svd(r11)
+    w, sqrt_lam, _ = np.linalg.svd(r11)
+    u, s, ph = np.linalg.svd(r22)
     truth = None
     if error is not None:
         truth = np.concatenate([_ct(w) @ (r11 + r[:, :ni, ni + ns:]),
-                                r[:, ni:ni + ns, ni + ns:]], axis=1)
-    return CombinerFactors(r22, _ct(r22) @ r22, _ct(r12) @ w, s ** 2, truth)
+                                _ct(u) @ r[:, ni:ni + ns, ni + ns:]], axis=1)
+    return CombinerFactors(s, ph @ (_ct(r12) @ w), sqrt_lam ** 2, truth)
 
 
 def combiner_rate(factors: CombinerFactors, a: float, b: float) -> SeResult:
@@ -224,15 +223,16 @@ def combiner_rate(factors: CombinerFactors, a: float, b: float) -> SeResult:
 
     with X taken as R_x^H R_x from a QR of the stacked [V; sqrt(b) E^H], so
     its spread of eigenvalues is never formed. For the combiner that knows
-    the interference, X = T and the rate is log2 det(I + a T).
+    the interference, X = T and the rate is log2 det(I + a T), at b = 0 the
+    rate without interference. R22 enters as diag(s), never as its Gram.
     """
-    f, r22 = factors.f, factors.r22
-    f_d = f / (1.0 + b * factors.lam)[:, None, :]
-    signal = factors.r22_gram + f_d @ _ct(f)                     # T
+    r22 = factors.s[:, :, None] * np.eye(factors.s.shape[-1])   # in R22's singular basis
+    g_d = factors.g / (1.0 + b * factors.lam)[:, None, :]
+    signal = r22 * r22 + g_d @ _ct(factors.g)                    # T
     if factors.truth is None:
         gain = signal                                            # X = T
     else:
-        v = np.concatenate([_ct(f_d), r22], axis=1)              # combiner coordinates
+        v = np.concatenate([_ct(g_d), r22], axis=1)              # combiner coordinates
         leak = np.sqrt(b) * (_ct(factors.truth) @ v)             # sqrt(b) E^H
         r_x = np.linalg.qr(np.concatenate([v, leak], axis=1), mode="r")
         y = np.linalg.solve(_ct(r_x), signal)                    # R_x^{-H} T

@@ -20,8 +20,8 @@ Only the transmit-side insertion loss enters the rates: the receive-side
 loss cancels (see ``fdiab.link``) and shows only in the budgets, which each
 ``RfNetwork`` prices. A full-duplex combiner is a value the caller passes
 to ``BackhaulLinkDesign.evaluate``, by default the one that knows the
-interference. Every backhaul rate follows in closed form from two scalars
-per operating point.
+interference. Every hybrid backhaul rate follows from one closed form,
+``combiner_rate``, in two scalars per operating point.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ class BackhaulLink:
     such as ``bb_svd``'s would change no rate (Tse and Viswanath,
     *Fundamentals of Wireless Communication*, sec. 8.3). The link keeps its
     desired channel A only whitened, ``white`` = L^{-1} A with ``chol`` L the
-    Cholesky factor of ``noise_gram``.
+    Cholesky factor of ``noise_gram``, and its combiner's factors with no
+    interference (N_i = 0), ``free``.
     """
 
     def __init__(self, scn: Scenario, real: Realization, structure: str,
@@ -225,8 +226,7 @@ class BackhaulLink:
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
         self.chol = np.linalg.cholesky(self.noise_gram)
         self.white = np.linalg.solve(self.chol, desired)         # A_w
-        r = np.linalg.qr(self.white, mode="r")
-        self.signal_eigs = np.linalg.svd(r, compute_uv=False) ** 2   # of A^H G^{-1} A
+        self.free = _split_factors(self.white, self.white[:, :, :0])
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
@@ -239,7 +239,7 @@ class BackhaulLink:
 
     def interference_free(self, a: float) -> SeResult:
         """log2 det(I + a A^H G^{-1} A), the rate without interference."""
-        return rate_from_nats(np.sum(np.log1p(a * self.signal_eigs), axis=1))
+        return combiner_rate(self.free, a, 0.0)
 
 
 class BackhaulLinkDesign:

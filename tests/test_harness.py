@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,25 @@ def test_programming_error_stops_the_run(monkeypatch):
     monkeypatch.setitem(harness._ROW_BUILDERS, "fig4", broken)
     with pytest.raises(RuntimeError, match="^boom$"):
         run_experiment(cfg)
+
+
+def test_programming_error_in_a_worker_cancels_the_queued_trials(monkeypatch):
+    # threads stand in for the spawned workers, so the patched builder reaches them
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers, mp_context: ThreadPoolExecutor(max_workers))
+    original = harness._ROW_BUILDERS["fig4"]
+    built = []
+
+    def broken(c, s, real, seeder, trial):
+        built.append(trial)
+        if trial == 0:
+            raise RuntimeError("boom")
+        return original(c, s, real, seeder, trial)
+
+    monkeypatch.setitem(harness._ROW_BUILDERS, "fig4", broken)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_experiment(replace(TINY, experiments=("fig4",), trials=40, threads=2))
+    assert len(built) < 40
 
 
 def test_config_validation_rule_names():

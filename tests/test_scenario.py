@@ -195,6 +195,9 @@ def test_interference_free_rate_matches_joint_factoring(drop, structure):
                                         _desired(real, link), a)
         got = link.interference_free(a).per_subcarrier
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+        # the aware combiner at zero interference power is the link's own
+        assert np.allclose(combiner_rate(bh.aware, a, 0.0).per_subcarrier, got,
+                           rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -346,22 +349,24 @@ def _mp_rate(desired, interference_cov, combiner, a):
     return mpmath.log(mpmath.re(ratio), 2)
 
 
-# drop 3's subarray ``fd`` rate errs by 1.17e-12 relative (subcarrier 4), over
-# its 1e-13 bound: the aware rate takes the log-det of a Gram that it formed
-# from a factor, which squares that factor's condition number
-_GRAM_LOGDET = pytest.mark.xfail(
-    strict=True, reason="fd rate from a formed Gram's log-det loses accuracy on this drop")
+# each study's backhaul distance
+_DISTANCES = {"fig4": SMALL.backhaul_distance_m, "fig5": SMALL.cee_backhaul_distance_m,
+              "fig6": SMALL.sic_backhaul_distance_m}
 
 
-@pytest.mark.parametrize("seed,structure", [
-    pytest.param(seed, structure, id=f"drop{seed}-{structure}",
-                 marks=_GRAM_LOGDET if (seed, structure) == (3, "subarray") else ())
-    for seed in (1, 2, 3) for structure in STRUCTURES])
-def test_closed_form_rates_match_extended_precision_oracle(seed, structure):
-    # fig5's backhaul distance: the interference arrives about 2e13 times
+# drops 1-4 at fig5's distance, and drop 3 at fig4's and fig6's: on drop 3 a
+# subarray ``fd`` rate that formed R22's Gram errs by up to 1.5e-12
+@pytest.mark.parametrize("seed,structure,study", [
+    pytest.param(seed, structure, study,
+                 id=f"drop{seed}-{structure}" + ("" if study == "fig5" else f"-{study}"))
+    for seed, study in [(1, "fig5"), (2, "fig5"), (3, "fig5"), (4, "fig5"),
+                        (3, "fig4"), (3, "fig6")]
+    for structure in STRUCTURES])
+def test_closed_form_rates_match_extended_precision_oracle(seed, structure, study):
+    # at fig5's backhaul distance the interference arrives about 2e13 times
     # stronger than the desired signal per stream, and the rates rest on
     # its null space
-    scn = build_scenario(replace(SMALL, backhaul_distance_m=SMALL.cee_backhaul_distance_m))
+    scn = build_scenario(replace(SMALL, backhaul_distance_m=_DISTANCES[study]))
     seeder = _seeder(seed, "test", 0)
     real = draw_realization(scn, seeder)
     access = AccessLinkDesign(scn, real, structure)
