@@ -29,10 +29,18 @@ print(f"LoS matrix {los.shape}, Frobenius power {np.linalg.norm(los)**2:.1f} "
 print("normalized singular values:", np.round(sv[:6] / sv[0], 4))
 print("-> sparse and low rank, dominated by the direct coupling\n")
 
-cfg = SiChannelConfig(rician_factor_db=45.0, nlos_clusters=2, nlos_rays=4)
 cluster = ClusterConfig(num_clusters=2, rays_per_cluster=4, num_taps=32)
-channel = si_channel_parts(tx, rx, cfg, cluster, rng_seed=1, wavelength=lam,
-                           num_subcarriers=128)
+
+
+def draw(sic_db):
+    """The SI channel of seed 1 after sic_db of antenna/analog cancellation."""
+    cfg = SiChannelConfig(rician_factor_db=45.0, nlos_clusters=2, nlos_rays=4,
+                          pre_digital_sic_db=sic_db)
+    return si_channel_parts(tx, rx, cfg, cluster, rng_seed=1, wavelength=lam,
+                            num_subcarriers=128)
+
+
+channel = draw(0.0)
 print(f"wideband SI channel over {channel.nlos.num_subcarriers} subcarriers; "
       f"LoS power fraction {channel.los_weight**2:.5f} (Rician factor 45 dB)")
 
@@ -41,7 +49,7 @@ rng = np.random.default_rng(0)
 w = np.exp(2j * np.pi * rng.random((rx.num_elements, 16)))
 f = np.exp(2j * np.pi * rng.random((tx.num_elements, 16)))
 before = np.sum(np.abs(channel.effective(w, f)) ** 2)
-after = np.sum(np.abs(channel.attenuated(80.0).effective(w, f)) ** 2)
+after = np.sum(np.abs(draw(80.0).effective(w, f)) ** 2)
 print(f"after 80 dB of antenna/analog cancellation: power ratio {before / after:.3e}\n")
 
 # estimation error on an effective channel (what the digital stage sees)

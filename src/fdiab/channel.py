@@ -337,13 +337,14 @@ def _shared_los(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
 
 @dataclass
 class SiChannelParts:
-    """Factored SI channel: Rician-weighted near-field LoS plus clustered NLoS."""
+    """Factored SI channel: Rician-weighted near-field LoS plus clustered NLoS,
+    scaled by ``amplitude``, the residual left by the pre-digital cancellation."""
 
     los: np.ndarray
     nlos: PathChannel
     los_weight: float
     nlos_weight: float
-    amplitude: float = 1.0
+    amplitude: float
 
     def effective(self, rx_matrix: np.ndarray, tx_matrix: np.ndarray) -> np.ndarray:
         """Per-subcarrier W^H H_si[k] F including the residual-cancellation scale."""
@@ -351,13 +352,6 @@ class SiChannelParts:
         out = self.nlos_weight * self.nlos.effective(rx_matrix, tx_matrix)
         out += self.los_weight * (rx_matrix.conj().T @ self.los @ tx_matrix)
         return self.amplitude * out
-
-    def attenuated(self, sic_db: float) -> "SiChannelParts":
-        """Copy attenuated by sic_db of power: amplitude scale 10^(-sic_db/20)."""
-        if sic_db < 0.0:
-            raise DomainError("cancellation budget must be >= 0 dB")
-        scale = 10.0 ** (-sic_db / 20.0)
-        return replace(self, amplitude=self.amplitude * scale)
 
 
 def _rician_weights(rician_factor_db: float) -> tuple[float, float]:
@@ -375,7 +369,8 @@ def _si_nlos_config(cfg: SiChannelConfig, cluster_cfg: ClusterConfig) -> Cluster
 def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChannelConfig,
                      cluster_cfg: ClusterConfig, rng_seed, wavelength: float,
                      num_subcarriers: int) -> SiChannelParts:
-    """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS.
+    """SI channel: sqrt(k/(1+k)) near-field LoS plus sqrt(1/(1+k)) clustered NLoS,
+    attenuated by ``cfg.pre_digital_sic_db`` of power (amplitude 10^(-dB/20)).
 
     The LoS matrix depends on the geometry alone, so it is computed once per
     (tx_geom, rx_geom, wavelength) and shared read-only; its near-field
@@ -386,7 +381,8 @@ def si_channel_parts(tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, cfg: SiChan
     nlos_cfg = _si_nlos_config(cfg, cluster_cfg)
     nlos = PathChannel(sample_cluster_geometry(nlos_cfg, rng), tx_geom, rx_geom, nlos_cfg,
                        num_subcarriers)
-    return SiChannelParts(los, nlos, *_rician_weights(cfg.rician_factor_db))
+    return SiChannelParts(los, nlos, *_rician_weights(cfg.rician_factor_db),
+                          amplitude=10.0 ** (-cfg.pre_digital_sic_db / 20.0))
 
 
 def draw_cee_noise(rng_seed, shape) -> np.ndarray:

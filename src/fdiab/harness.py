@@ -168,6 +168,13 @@ _ROW_BUILDERS = {"fig4": _per_structure(_fig4_rows), "fig5": _per_structure(_fig
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def study_scenario(cfg: ExperimentConfig, experiment: str) -> Scenario:
+    """The scenario of ``experiment`` at that study's backhaul distance."""
+    distance = {"fig4": cfg.backhaul_distance_m, "fig5": cfg.cee_backhaul_distance_m,
+                "fig6": cfg.sic_backhaul_distance_m}[experiment]
+    return build_scenario(replace(cfg, backhaul_distance_m=distance))
+
+
 def run_trial(cfg: ExperimentConfig, scenario: Scenario, experiment: str,
               trial: int) -> tuple[list[dict], tuple[str, str] | None]:
     """Rows of one trial and its failure as (exception type name, message).
@@ -216,11 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     cfg.validate()
     tasks = [(experiment, trial) for experiment in cfg.experiments
              for trial in range(cfg.trials)]
-    distances = {"fig4": cfg.backhaul_distance_m, "fig5": cfg.cee_backhaul_distance_m,
-                 "fig6": cfg.sic_backhaul_distance_m}
-    scenarios = {experiment: build_scenario(
-                     replace(cfg, backhaul_distance_m=distances[experiment]))
-                 for experiment in cfg.experiments}
+    scenarios = {experiment: study_scenario(cfg, experiment) for experiment in cfg.experiments}
 
     if cfg.threads > 1:
         # workers start at submit time, inside the single-threaded environment

@@ -116,8 +116,7 @@ def build_scenario(cfg: "ExperimentConfig") -> Scenario:
 
 @dataclass
 class Realization:
-    """Channels of one drop; the SI channel already carries the pre-digital
-    cancellation amplitude."""
+    """Channels of one drop; the SI channel carries its cancellation amplitude."""
 
     backhaul: PathChannel
     access: tuple[PathChannel, ...]
@@ -145,7 +144,7 @@ def draw_realization(scn: Scenario, seeder: Seeder) -> Realization:
         for u in range(scn.users))
     si = si_channel_parts(scn.iab_tx_geom, scn.iab_rx_geom, scn.si_cfg, scn.cluster_cfg,
                           seeder("si"), scn.wavelength, k)
-    return Realization(backhaul, access, si.attenuated(scn.si_cfg.pre_digital_sic_db))
+    return Realization(backhaul, access, si)
 
 
 def rf_stage(factors: tuple[np.ndarray, np.ndarray], net: RfNetwork) -> np.ndarray:
@@ -250,10 +249,17 @@ class BackhaulLinkDesign:
     ``_split_factors(link.white, B_w - E_w, E_w)`` for an estimate of B_w with
     whitened error E_w: ``aware`` has E_w = 0, ``combiner`` an estimation
     error, ``blind_combiner()`` E_w = B_w; ``evaluate`` judges each against B
-    through ``combiner_rate``.
+    through ``combiner_rate``. Cancelling takes N_s + N_i receive chains; a
+    link with fewer raises a configuration error before any combiner is built.
     """
 
     def __init__(self, real: Realization, link: BackhaulLink, access: AccessLinkDesign):
+        m, ns = link.white.shape[1:]
+        ni = access.f_bb.shape[2]
+        if m < ns + ni:
+            raise ConfigurationError(
+                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
+                f"plus {ni} interfering streams")
         self.link, self.access = link, access
         self.g_si0 = real.si.effective(link.w_rf, access.f_rf)   # (K, M, U)
         self.white = np.linalg.solve(link.chol, self.g_si0 @ access.f_bb)  # B_w, (K, M, N_i)
@@ -267,16 +273,8 @@ class BackhaulLinkDesign:
         sweep over sigma_e. At sigma_e = 0 the estimate is exact (``aware``).
         The error is whitened alone and enters as itself, never as a
         difference B - estimate; it does not depend on the operating point, so
-        one factoring serves every phase-shifter kind and SNR. Cancelling the
-        estimate takes at least N_s + N_i receive chains; fewer raise a
-        configuration error.
+        one factoring serves every phase-shifter kind and SNR.
         """
-        m, ns = self.link.white.shape[1:]
-        ni = self.white.shape[2]
-        if m < ns + ni:
-            raise ConfigurationError(
-                f"rf-chain-rule: {m} receive chains cannot separate {ns} desired "
-                f"plus {ni} interfering streams")
         if sigma_e == 0.0:
             return self.aware
         error = estimation_error(self.g_si0, sigma_e, cee_noise) @ self.access.f_bb
@@ -310,7 +308,7 @@ class BackhaulLinkDesign:
         acc_scale = self.access.budgets(ps_kind)[0].linear_scale
         p = snr.stream_power(scn.users)
         b = p * scn.si_power_advantage * acc_scale ** 2 / snr.noise_power
-        factors = self.combiner(0.0, None) if combiner is None else combiner
+        factors = self.aware if combiner is None else combiner
         return duplex_rates(combiner_rate(factors, a, b), link.interference_free(a))
 
 

@@ -377,9 +377,9 @@ def test_si_channel_parts_rician_limits(rician_db):
     lam = 3e8 / 28e9
     tx = ArrayGeometry(2, 2)
     rx = ArrayGeometry(2, 2, origin=(8 * lam, 0.0, 0.0))
-    cfg = SiChannelConfig(rician_factor_db=rician_db)
+    cfg = SiChannelConfig(rician_factor_db=rician_db, pre_digital_sic_db=20.0)
     cluster, k = small_cfg(), 16
-    parts = si_channel_parts(tx, rx, cfg, cluster, 5, lam, k).attenuated(20.0)
+    parts = si_channel_parts(tx, rx, cfg, cluster, 5, lam, k)
     assert (parts.los_weight, parts.nlos_weight) == ((1.0, 0.0) if rician_db > 0 else (0.0, 1.0))
     rng = np.random.default_rng(2)
     w = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
@@ -419,7 +419,8 @@ def test_si_parts_match_dense_channel():
     lam = 3e8 / 28e9
     tx = ArrayGeometry(2, 2)
     rx = ArrayGeometry(2, 2, origin=(8 * lam, 0.0, 0.0))
-    cfg = SiChannelConfig(rician_factor_db=10.0)
+    # the dense oracle carries no cancellation budget
+    cfg = SiChannelConfig(rician_factor_db=10.0, pre_digital_sic_db=0.0)
     cluster = small_cfg(num_taps=8)
     k = 16
     dense = to_frequency(WidebandChannel(
@@ -446,15 +447,21 @@ def test_apply_residual_sic():
     lam = 3e8 / 28e9
     tx = ArrayGeometry(2, 2)
     rx = ArrayGeometry(2, 2, origin=(8 * lam, 0.0, 0.0))
-    parts = si_channel_parts(tx, rx, SiChannelConfig(rician_factor_db=10.0), small_cfg(),
-                             4, lam, 16)
+
+    def parts(sic_db):
+        cfg = SiChannelConfig(rician_factor_db=10.0, pre_digital_sic_db=sic_db)
+        return si_channel_parts(tx, rx, cfg, small_cfg(), 4, lam, 16)
+
     eye = np.eye(4)
-    full = parts.effective(eye, eye)
-    assert np.array_equal(parts.attenuated(0.0).effective(eye, eye), full)
-    out = parts.attenuated(80.0).effective(eye, eye)
+    unattenuated = parts(0.0)
+    assert unattenuated.amplitude == 1.0
+    full = unattenuated.effective(eye, eye)
+    out = parts(80.0).effective(eye, eye)
+    # the parts of one seed differ by the budget of their config alone
+    assert np.array_equal(out, 10 ** (-80 / 20) * full)
     assert np.isclose(np.sum(np.abs(full) ** 2) / np.sum(np.abs(out) ** 2), 1e8)
-    with pytest.raises(DomainError):
-        parts.attenuated(-1.0)
+    with pytest.raises(ConfigurationError):
+        SiChannelConfig(pre_digital_sic_db=-1.0)
 
 
 def test_cee_perfect_estimate():

@@ -387,10 +387,8 @@ def test_one_access_path_serves_each_user():
     cfg = replace(TINY, access_clusters=1, access_rays_per_cluster=2, master_seed=6)
     assert cfg.users == 4 and set(cfg.experiments) == {"fig4", "fig5", "fig6"}
     cfg.validate()
-    distance = {"fig4": cfg.backhaul_distance_m, "fig5": cfg.cee_backhaul_distance_m,
-                "fig6": cfg.sic_backhaul_distance_m}
     for experiment in cfg.experiments:
-        scn = harness.build_scenario(replace(cfg, backhaul_distance_m=distance[experiment]))
+        scn = harness.study_scenario(cfg, experiment)
         rows, failure = harness.run_trial(cfg, scn, experiment, 0)
         assert rows and failure is None, (experiment, failure)
 

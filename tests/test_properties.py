@@ -18,7 +18,7 @@ from fdiab.arrays import partition_subarrays
 from fdiab.channel import draw_cee_noise, perturb_effective_channel
 from fdiab.config import EXPERIMENTS, PS_KINDS, STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
-from fdiab.harness import _seeder, run_trial
+from fdiab.harness import _seeder, run_trial, study_scenario
 from fdiab.link import DUPLEX_MODES, combiner_rate, se_backhaul
 from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
                             build_scenario, draw_realization)
@@ -218,10 +218,8 @@ def test_validate_accepts_exactly_the_configs_a_sweep_can_run(cfg):
     except ConfigurationError as exc:
         assert re.match(r"[a-z]+(-[a-z]+)*: ", str(exc)), str(exc)
         return
-    distance = {"fig4": cfg.backhaul_distance_m, "fig5": cfg.cee_backhaul_distance_m,
-                "fig6": cfg.sic_backhaul_distance_m}
     for experiment in EXPERIMENTS:
-        scn = build_scenario(replace(cfg, backhaul_distance_m=distance[experiment]))
+        scn = study_scenario(cfg, experiment)
         outcomes = [run_trial(cfg, scn, experiment, trial) for trial in range(cfg.trials)]
         for rows, failure in outcomes:
             assert bool(rows) != (failure is not None), (experiment, failure)
