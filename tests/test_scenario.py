@@ -406,10 +406,14 @@ def test_closed_form_rates_match_extended_precision_oracle(seed, structure, stud
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
-def test_too_few_receive_chains_rejected_by_the_receiver(drop, structure):
+@pytest.mark.parametrize("sigma_e", [0.0, 0.1])
+def test_too_few_receive_chains_rejected_at_evaluation(drop, structure, sigma_e):
     # one chain per subarray: M = U receive chains for U desired plus U
-    # interfering streams; the receiver is refused before any combiner exists
+    # interfering streams; the route to a rate at any sigma_e stops at
+    # rf-chain-rule, because the receiver is refused before any combiner exists
     scn, real = drop
     access = AccessLinkDesign(scn, real, structure)
+    cee = np.ones((scn.num_subcarriers, scn.users, scn.users), dtype=complex)
     with pytest.raises(ConfigurationError, match="rf-chain-rule"):
-        _backhaul(scn, real, access, structure, 1)
+        bh = _backhaul(scn, real, access, structure, 1)
+        bh.evaluate("ideal", scn.snr_point(10.0), bh.combiner(sigma_e, cee))
