@@ -177,12 +177,14 @@ def expected_pulse_energy(num_taps: int, rolloff: float) -> float:
 
     Evaluated by averaging the truncated tap-energy sum over a fine fractional
     delay grid of ``PULSE_ENERGY_GRID`` points; used to normalize the tap
-    tensor to its expected Frobenius power.
+    tensor to its expected Frobenius power. Its rows are summed 32nd by 32nd,
+    to the same bits as all at once, so no temporary holds the whole grid.
     """
     u = (np.arange(PULSE_ENERGY_GRID) + 0.5) / PULSE_ENERGY_GRID * num_taps
     d = np.arange(num_taps)
-    vals = raised_cosine(d[None, :] - u[:, None], rolloff) ** 2
-    return float(np.mean(np.sum(vals, axis=1)))
+    rows = [np.sum(raised_cosine(d[None, :] - part[:, None], rolloff) ** 2, axis=1)
+            for part in np.array_split(u, 32)]
+    return float(np.mean(np.concatenate(rows)))
 
 
 def _tap_amplitude(nt: int, nr: int, cfg: ClusterConfig) -> float:

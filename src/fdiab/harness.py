@@ -20,9 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -226,6 +224,9 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     scenarios = {experiment: study_scenario(cfg, experiment) for experiment in cfg.experiments}
 
     if cfg.threads > 1:
+        # imported here, so that an in-process sweep does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # workers start at submit time, inside the single-threaded environment
         with _single_threaded_blas(), ProcessPoolExecutor(
                 max_workers=cfg.threads,

@@ -17,9 +17,10 @@ full-digital and hybrid schemes comparable.
 
 Both links are evaluated at full rate; ``duplex_rates`` derives the three
 duplex modes from a full-duplex and an interference-free rate.
-``se_backhaul`` evaluates any linear backhaul combiner; ``combiner_rate``
-gives every rate of an MMSE combiner, with or without interference, from
-its stream-space ``CombinerFactors`` in one closed form.
+``singular_value_rate`` rates every link without interference, hybrid or
+full-digital, from its singular values; ``combiner_rate`` rates an MMSE combiner
+against interference from its stream-space ``CombinerFactors`` in one closed
+form. ``se_backhaul`` evaluates any linear backhaul combiner.
 """
 
 from __future__ import annotations
@@ -157,6 +158,12 @@ def rate_from_nats(nats: np.ndarray) -> SeResult:
     return SeResult(float(np.mean(se_k)), per_subcarrier=se_k)
 
 
+def singular_value_rate(sigma: np.ndarray, a: float) -> SeResult:
+    """sum_i log2(1 + a sigma_i^2) per subcarrier, the rate without interference of a
+    link with the (K, n) singular values ``sigma`` (Tse and Viswanath, sec. 7.1)."""
+    return rate_from_nats(np.sum(np.log1p(a * sigma ** 2), axis=1))
+
+
 @dataclass(frozen=True)
 class CombinerFactors:
     """Stream-space factors of one MMSE combiner; see ``_split_factors``.
@@ -191,7 +198,8 @@ def _split_factors(signal: np.ndarray, estimate: np.ndarray,
     large b is. In the same basis the true interference has the coordinates
     ``truth`` = [W^H (R11 + R13); U^H R23], so E enters as itself and never
     as a difference of large terms.
-    Z may be zero (a combiner blind to the interference) or empty (none).
+    Z may be zero (a combiner blind to the interference); a link without
+    interference is rated by ``singular_value_rate`` instead.
     """
     ni, ns = estimate.shape[2], signal.shape[2]
     blocks = [estimate, signal] if error is None else [estimate, signal, error]
@@ -224,7 +232,7 @@ def combiner_rate(factors: CombinerFactors, a: float, b: float) -> SeResult:
     with X taken as R_x^H R_x from a QR of the stacked [V; sqrt(b) E^H], so
     its spread of eigenvalues is never formed. For the combiner that knows
     the interference, X = T and the rate is log2 det(I + a T), at b = 0 the
-    rate without interference. R22 enters as diag(s), never as its Gram.
+    link's ``singular_value_rate``. R22 enters as diag(s), never as its Gram.
     """
     r22 = factors.s[:, :, None] * np.eye(factors.s.shape[-1])   # in R22's singular basis
     g_d = factors.g / (1.0 + b * factors.lam)[:, None, :]

@@ -20,8 +20,9 @@ Only the transmit-side insertion loss enters the rates: the receive-side
 loss cancels (see ``fdiab.link``) and shows only in the budgets, which each
 ``RfNetwork`` prices. A full-duplex combiner is a value the caller passes
 to ``BackhaulLinkDesign.evaluate``, by default the one that knows the
-interference. Every hybrid backhaul rate follows from one closed form,
-``combiner_rate``, in two scalars per operating point.
+interference. Every full-duplex backhaul rate follows from one closed form,
+``combiner_rate``, in two scalars per operating point, and every rate without
+interference, hybrid or full-digital, from ``singular_value_rate``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .channel import (ClusterConfig, PathChannel, SiChannelConfig, SiChannelPart
                       si_channel_parts)
 from .errors import ConfigurationError
 from .link import (CombinerFactors, SeResult, SnrPoint, _split_factors, combiner_rate,
-                   duplex_rates, rate_from_nats, se_access)
+                   duplex_rates, se_access, singular_value_rate)
 from .rfil import RfilBudget, RfNetwork
 from .transceiver import normalize_power, phase_project, top_eigvecs_factored, zf_bb_precoder
 # unused here; the benchmark's tracer still wraps these three names in this module
@@ -207,8 +208,8 @@ class BackhaulLink:
     such as ``bb_svd``'s would change no rate (Tse and Viswanath,
     *Fundamentals of Wireless Communication*, sec. 8.3). The link keeps its
     desired channel A only whitened, ``white`` = L^{-1} A with ``chol`` L the
-    Cholesky factor of ``noise_gram``, and its combiner's factors with no
-    interference (N_i = 0), ``free``.
+    Cholesky factor of ``noise_gram``, and A_w's singular values ``sigma``,
+    from a backward-stable SVD (no Gram is formed), which rate it alone.
     """
 
     def __init__(self, scn: Scenario, real: Realization, structure: str,
@@ -225,20 +226,20 @@ class BackhaulLink:
         self.noise_gram = self.w_rf.conj().T @ self.w_rf
         self.chol = np.linalg.cholesky(self.noise_gram)
         self.white = np.linalg.solve(self.chol, desired)         # A_w
-        self.free = _split_factors(self.white, self.white[:, :, :0])
+        self.sigma = np.linalg.svd(self.white, compute_uv=False)
 
     def budgets(self, ps_kind: str) -> tuple[RfilBudget, RfilBudget]:
         """(donor transmit, IAB receive) per-path budgets."""
         return self.tx_net.budget("tx", ps_kind), self.rx_net.budget("rx", ps_kind)
 
     def a(self, ps_kind: str, snr: SnrPoint) -> float:
-        """``combiner_rate``'s ``a``; the receive-side loss cancels, so only the donor's enters."""
+        """The rates' ``a``; the receive-side loss cancels, so only the donor's enters."""
         tx_scale = self.budgets(ps_kind)[0].linear_scale
         return snr.stream_power(self.scn.users) * tx_scale ** 2 / snr.noise_power
 
     def interference_free(self, a: float) -> SeResult:
         """log2 det(I + a A^H G^{-1} A), the rate without interference."""
-        return combiner_rate(self.free, a, 0.0)
+        return singular_value_rate(self.sigma, a)
 
 
 class BackhaulLinkDesign:
@@ -320,5 +321,4 @@ def full_digital_backhaul_se(real: Realization, scn: Scenario, snr: SnrPoint) ->
     """
     ns = scn.users
     sigma = real.backhaul.subcarrier_singular_values(ns)
-    a = snr.stream_power(ns) / snr.noise_power
-    return rate_from_nats(np.sum(np.log1p(a * sigma ** 2), axis=1))
+    return singular_value_rate(sigma, snr.stream_power(ns) / snr.noise_power)

@@ -6,8 +6,9 @@ from dataclasses import replace
 from scipy import stats
 
 from fdiab.arrays import ArrayGeometry, element_positions
-from fdiab.channel import (ClusterConfig, PathChannel, SiChannelConfig, _range_factor,
-                           _si_nlos_config, ci_path_loss, draw_cee_noise, near_field_los,
+from fdiab.channel import (PULSE_ENERGY_GRID, ClusterConfig, PathChannel, SiChannelConfig,
+                           _range_factor, _si_nlos_config, ci_path_loss, draw_cee_noise,
+                           expected_pulse_energy, near_field_los,
                            perturb_effective_channel, raised_cosine,
                            sample_cluster_geometry, si_channel_parts)
 from fdiab.config import ExperimentConfig
@@ -78,6 +79,27 @@ def test_raised_cosine_basics():
     assert np.allclose(raised_cosine(x, 0.0), np.sinc(x))
     # the textbook value at the rolloff singularity for beta = 1
     assert np.isclose(raised_cosine(0.5, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("num_taps", [1, 16, 128, 333, 512])
+@pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.5, 1.0])
+def test_pulse_energy_matches_whole_grid(num_taps, rolloff):
+    # the mean over the whole fractional-delay grid at once, bit for bit
+    u = (np.arange(PULSE_ENERGY_GRID) + 0.5) / PULSE_ENERGY_GRID * num_taps
+    d = np.arange(num_taps)
+    whole = raised_cosine(d[None, :] - u[:, None], rolloff) ** 2
+    assert expected_pulse_energy(num_taps, rolloff) == float(np.mean(np.sum(whole, axis=1)))
+
+
+def test_pulse_energy_memory_bounded():
+    # at 512 taps one whole-grid float array takes 8 MiB; the value is one float
+    tracemalloc.start()
+    try:
+        expected_pulse_energy.__wrapped__(512, 0.5)             # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PULSE_ENERGY_GRID * 512 * 8 / 4
 
 
 def test_on_grid_delay_with_sinc_pulse_hits_single_tap():

@@ -87,16 +87,20 @@ json.dump(run_experiment(cfg).rows, sys.stdout)
 """
 
 
+def _pythonpath() -> str:
+    """PYTHONPATH under which a child interpreter imports this source tree."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
 def _blas_thread_independent_rows(experiment: str, seed: int) -> list[dict]:
     """Rows of trial 0 at the acceptance scale (K=128, 15 dB), run in-process at
     one and at two BLAS threads; asserts they agree within 1e-10 relative and
     returns those at one thread."""
-    src = str(Path(harness.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+                   MKL_NUM_THREADS=threads, PYTHONPATH=_pythonpath())
         out = subprocess.run([sys.executable, "-c", _ACCEPTANCE_TRIAL, experiment, str(seed)],
                              env=env, check=True, capture_output=True, text=True).stdout
         runs.append(json.loads(out))
@@ -128,8 +132,15 @@ def test_single_worker_starts_no_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("threads=1 must run in process")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert run_experiment(replace(TINY, experiments=("fig4",), trials=1)).rows
+
+
+def test_import_leaves_out_the_process_pool():
+    # only a sweep on worker processes imports multiprocessing
+    code = "import sys, fdiab; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=_pythonpath()))
 
 
 _RECEIVER = ["BackhaulLink", "BackhaulLinkDesign"]
@@ -323,7 +334,7 @@ def test_programming_error_stops_the_run(monkeypatch):
 
 def test_programming_error_in_a_worker_cancels_the_queued_trials(monkeypatch):
     # threads stand in for the spawned workers, so the patched builder reaches them
-    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers, mp_context: ThreadPoolExecutor(max_workers))
     original = harness._ROW_BUILDERS["fig4"]
     built = []

@@ -10,7 +10,7 @@ from fdiab.channel import draw_cee_noise, estimation_error, near_field_los
 from fdiab.config import STRUCTURES, ExperimentConfig
 from fdiab.errors import ConfigurationError
 from fdiab.harness import _seeder, study_scenario
-from fdiab.link import combiner_rate
+from fdiab.link import _split_factors, combiner_rate
 from fdiab.rfil import PS_KINDS, RfNetwork, loss_fully_connected
 from fdiab.scenario import (AccessLinkDesign, BackhaulLink, BackhaulLinkDesign,
                             build_scenario, draw_realization, full_digital_backhaul_se,
@@ -198,6 +198,21 @@ def test_interference_free_rate_matches_joint_factoring(drop, structure):
         # the aware combiner at zero interference power is the link's own
         assert np.allclose(combiner_rate(bh.aware, a, 0.0).per_subcarrier, got,
                            rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_interference_free_rate_matches_empty_interference_combiner(seed, structure):
+    # the link's singular values give the rate of its MMSE combiner factored
+    # with an empty (K, M, 0) interference block
+    scn = build_scenario(SMALL)
+    real = draw_realization(scn, _seeder(seed, "test", 0))
+    link = BackhaulLink(scn, real, structure, 2)
+    factors = _split_factors(link.white, link.white[:, :, :0])
+    for a in (1e-2, 1e2, 1e6):
+        want = combiner_rate(factors, a, 0.0).per_subcarrier
+        got = link.interference_free(a).per_subcarrier
+        assert np.allclose(got, want, rtol=1e-13, atol=0), a
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
