@@ -252,15 +252,24 @@ def _format_value(value) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an INI config file; unknown sections or keys are rejected."""
+    """Read an INI config file; unknown sections or keys and malformed files are rejected."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigurationError(f"bad-file: {exc}") from exc
+    # configparser drops [DEFAULT] keys when no other section is present and
+    # copies them into each one otherwise, so such a key would set its field
+    # or be rejected depending on the sections around it
+    if parser.defaults():
+        raise ConfigurationError(f"unknown-section: [{parser.default_section}]")
     overrides = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ConfigurationError(f"unknown-section: [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SECTIONS[section]:
                 raise ConfigurationError(f"unknown-key: {key} in [{section}]")
             overrides[key] = _parse_value(key, raw)

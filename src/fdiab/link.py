@@ -1,10 +1,11 @@
 """Spectral-efficiency evaluation for the backhaul and access links.
 
 Signal scaling follows the sweep definition SNR = P_r / (K * U * sigma_n^2)
-with P_r = P_t / mean path loss: with unit per-subcarrier noise power the
-per-stream receive scale is snr_linear * U * K / N_s, and the co-located
-transmitter's interference reaches the receiver with a path-loss advantage
-of PL_dB minus the applied pre-digital cancellation.
+with P_r = P_t / mean path loss, and ``SnrPoint.stream_power`` is its one
+expression: with unit per-subcarrier noise power the per-stream receive
+scale is SNR * U * K / N_s, and the co-located transmitter's interference
+reaches the receiver with a path-loss advantage of PL_dB minus the applied
+pre-digital cancellation.
 
 Thermal noise is referenced at the output of the unscaled (unit-modulus)
 analog combining network: its covariance after the baseband combiner is
@@ -20,7 +21,10 @@ duplex modes from a full-duplex and an interference-free rate.
 ``singular_value_rate`` rates every link without interference, hybrid or
 full-digital, from its singular values; ``combiner_rate`` rates an MMSE combiner
 against interference from its stream-space ``CombinerFactors`` in one closed
-form. ``se_backhaul`` evaluates any linear backhaul combiner.
+form. ``se_backhaul`` evaluates any linear backhaul combiner. ``se_access``
+rates the multiuser access downlink against each user's combiner noise gain.
+Every rate is a ``SeResult``: its mean over subcarriers and its
+per-subcarrier values.
 """
 
 from __future__ import annotations
@@ -42,32 +46,20 @@ class SnrPoint:
     """
 
     snr_db: float
-    num_users: int = 4
-    num_subcarriers: int = 512
+    num_users: int
+    num_subcarriers: int
     noise_power: float = 1.0
 
     def __post_init__(self):
         if self.noise_power <= 0.0:
             raise DomainError("noise power must be positive")
 
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
-    @property
-    def band_noise_power(self) -> float:
-        """sigma_n^2: receiver noise power integrated over all subcarriers."""
-        return self.num_subcarriers * self.noise_power
-
-    @property
-    def received_power(self) -> float:
-        """Total received power P_r implied by SNR = P_r / (K * U * sigma_n^2)."""
-        return (self.snr_linear * self.num_subcarriers * self.num_users
-                * self.band_noise_power)
-
     def stream_power(self, num_streams: int) -> float:
-        """Per-stream receive scale: the per-subcarrier budget P_r/K over N_s streams."""
-        return self.received_power / self.num_subcarriers / num_streams
+        """Per-stream receive scale: the per-subcarrier share P_r / K of the
+        received power P_r = SNR * K * U * sigma_n^2, over N_s streams."""
+        k = self.num_subcarriers
+        return (10.0 ** (self.snr_db / 10.0) * k * self.num_users * (k * self.noise_power)
+                / k / num_streams)
 
 
 DUPLEX_MODES = ("fd", "hd", "fd_perfect_sic")
@@ -78,8 +70,7 @@ class SeResult:
     """Spectral efficiency of one link at one operating point."""
 
     se_bps_hz: float
-    per_subcarrier: np.ndarray | None = None
-    per_user: np.ndarray | None = None
+    per_subcarrier: np.ndarray
     regularized_subcarriers: int = 0
 
 
@@ -91,12 +82,8 @@ def duplex_rates(full_duplex: SeResult, interference_free: SeResult) -> dict[str
     (``fd_perfect_sic``). Half duplex is that interference-free link for half
     of the time; halving is exact in floating point.
     """
-    def half(values):
-        return None if values is None else 0.5 * values
-
-    hd = replace(interference_free, se_bps_hz=half(interference_free.se_bps_hz),
-                 per_subcarrier=half(interference_free.per_subcarrier),
-                 per_user=half(interference_free.per_user))
+    hd = replace(interference_free, se_bps_hz=0.5 * interference_free.se_bps_hz,
+                 per_subcarrier=0.5 * interference_free.per_subcarrier)
     return {"fd": full_duplex, "hd": hd, "fd_perfect_sic": interference_free}
 
 
@@ -250,24 +237,21 @@ def combiner_rate(factors: CombinerFactors, a: float, b: float) -> SeResult:
 
 
 def se_access(effective_rows: np.ndarray, snr: SnrPoint,
-              noise_scales: np.ndarray | None = None) -> SeResult:
-    """Per-user and sum spectral efficiency of the multiuser access downlink.
+              noise_scales: np.ndarray) -> SeResult:
+    """Sum spectral efficiency of the multiuser access downlink.
 
     ``effective_rows`` (K, U, U): entry (u, v) is user u's combined response
     to stream v, including combiners, precoders, and transmit-side insertion loss.
-    ``noise_scales`` holds each user's post-combining noise gain (the squared
-    norm of its unscaled combiner); defaults to 1.
+    ``noise_scales`` (U,) holds each user's post-combining noise gain, the
+    squared norm of its unscaled combiner.
     """
     if effective_rows.ndim != 3 or effective_rows.shape[1] != effective_rows.shape[2]:
         raise DimensionError("effective rows must have shape (K, U, U)")
-    k, u, _ = effective_rows.shape
-    scales = np.ones(u) if noise_scales is None else np.asarray(noise_scales, dtype=float)
+    u = effective_rows.shape[1]
     p = snr.stream_power(u)
     power = np.abs(effective_rows) ** 2
     desired = np.einsum("kuu->ku", power)
     mui = power.sum(axis=2) - desired
-    sinr = p * desired / (p * mui + snr.noise_power * scales[None, :])
+    sinr = p * desired / (p * mui + snr.noise_power * noise_scales)
     per_user_k = np.log2(1.0 + sinr)  # (K, U)
-    per_user = per_user_k.mean(axis=0)
-    return SeResult(float(per_user.sum()), per_subcarrier=per_user_k.sum(axis=1),
-                    per_user=per_user)
+    return SeResult(float(per_user_k.mean(axis=0).sum()), per_subcarrier=per_user_k.sum(axis=1))

@@ -288,7 +288,10 @@ class BackhaulLinkDesign:
         Its estimate is zero and its error the whole interference, E_w = B_w:
         a receiver without digital cancellation. It is factored on the R
         factor of [B_w | A_w], the same rates from N_i + N_s rows instead of
-        M, at a lower memory peak.
+        M, at a lower memory peak: ``_split_factors(link.white, 0, B_w)`` on
+        the M rows writes the same CSVs, but it raised the peak resident
+        memory of the ``fig6-k512`` benchmark workload from 64.6 to 68.5 MB
+        (+6 %, 3 alternating runs on 2 cores, numpy 2.4.6 with OpenBLAS).
         """
         ni = self.white.shape[2]
         r = np.linalg.qr(np.concatenate([self.white, self.link.white], axis=2), mode="r")

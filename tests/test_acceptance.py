@@ -83,7 +83,7 @@ def test_criterion_1_property_suite(tmp_path):
     rhs = 64 * np.sum(np.abs(taps) ** 2)
     assert abs(lhs - rhs) / rhs < 1e-9
 
-    snr = SnrPoint(10.0, num_subcarriers=8)
+    snr = SnrPoint(10.0, num_users=4, num_subcarriers=8)
     desired = rng.standard_normal((8, 8, 4)) + 1j * rng.standard_normal((8, 8, 4))
     comb = mmse_bb_combiner(desired, np.zeros_like(desired), snr.noise_power,
                             snr.stream_power(4), 1.0)

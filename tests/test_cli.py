@@ -35,6 +35,19 @@ def test_validate_bad_config(tmp_path):
     assert main(["validate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ntrials = 3\n",
+    "[DEFAULT]\ntrials = 3\n[run]\nmaster_seed = 2\n",
+    "[run]\ntrials = 3\ntrials = 4\n",
+    "trials = 3\n",
+], ids=["default-sets-nothing", "default-copied-into-run", "duplicate-key", "no-section-header"])
+def test_ill_formed_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--frobnicate"])

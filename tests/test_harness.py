@@ -457,6 +457,26 @@ def test_config_ini_layout(tmp_path):
             load_config(path)
 
 
+def test_config_rejects_default_section(tmp_path):
+    # configparser drops [DEFAULT] keys without another section and copies
+    # them into each one otherwise: set or rejected by accident of the file
+    path = tmp_path / "cfg.ini"
+    for text in ("[DEFAULT]\ntrials = 3\n", "[DEFAULT]\ntrials = 3\n[run]\nmaster_seed = 2\n",
+                 "[DEFAULT]\ntrials = 3\n[system]\nusers = 4\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=r"unknown-section: \[DEFAULT\]"):
+            load_config(path)
+
+
+def test_config_malformed_file_is_a_configuration_error(tmp_path):
+    path = tmp_path / "cfg.ini"
+    for text in ("[run]\ntrials = 3\ntrials = 4\n", "trials = 3\n",
+                 "[run]\ntrials = 3\n[run]\nmaster_seed = 2\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="bad-file"):
+            load_config(path)
+
+
 def test_config_ini_round_trip(tmp_path):
     path = tmp_path / "cfg.ini"
     save_config(TINY, path)

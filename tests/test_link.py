@@ -11,13 +11,34 @@ def rand_stack(rng, shape):
 
 
 def test_snr_point_definition_invariant():
-    snr = SnrPoint(15.0, num_users=4, num_subcarriers=512)
-    # SNR = P_r / (K * U * sigma_n^2) with sigma_n^2 the band noise power
-    assert np.isclose(snr.received_power / (512 * 4 * snr.band_noise_power),
-                      10 ** 1.5)
-    assert np.isclose(snr.stream_power(4), snr.received_power / 512 / 4)
+    for snr_db in (-10.0, 0.0, 15.0, 20.0):
+        for k, u, ns, noise in ((512, 4, 4, 1.0), (128, 4, 2, 1.0), (64, 2, 8, 0.3),
+                                (8, 3, 1, 2.5), (100, 3, 3, 0.3), (96, 5, 6, 0.7)):
+            snr = SnrPoint(snr_db, num_users=u, num_subcarriers=k, noise_power=noise)
+            snr_linear = 10.0 ** (snr_db / 10.0)
+            band_noise_power = k * noise
+            received_power = snr_linear * k * u * band_noise_power
+            # SNR = P_r / (K * U * sigma_n^2) with sigma_n^2 the band noise power,
+            # and P_r spread over K subcarriers of N_s streams
+            assert np.isclose(snr.stream_power(ns) * ns * k / (k * u * band_noise_power),
+                              snr_linear)
+            assert snr.stream_power(ns) == received_power / k / ns  # bit-exact
     with pytest.raises(DomainError):
-        SnrPoint(0.0, noise_power=0.0)
+        SnrPoint(0.0, num_users=4, num_subcarriers=8, noise_power=0.0)
+
+
+def _access_per_user(rows, snr, noise_scales):
+    """Per-user access rates, averaged over subcarriers, from the SINR closed form
+    p |h_uu|^2 / (p sum_{v != u} |h_uv|^2 + n s_u)."""
+    p = snr.stream_power(rows.shape[1])
+    rates = np.zeros(rows.shape[1])
+    for user in range(rows.shape[1]):
+        gains = np.abs(rows[:, user, :]) ** 2
+        desired = gains[:, user]
+        sinr = p * desired / (p * (gains.sum(axis=1) - desired)
+                              + snr.noise_power * noise_scales[user])
+        rates[user] = np.mean(np.log2(1.0 + sinr))
+    return rates
 
 
 def _designed_link(seed=0, k=16, m=8, ns=4):
@@ -52,7 +73,7 @@ def test_se_monotone_in_snr():
     desired = rand_stack(rng, (8, 8, 4))
     last = 0.0
     for snr_db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
-        snr = SnrPoint(snr_db, num_subcarriers=8)
+        snr = SnrPoint(snr_db, num_users=4, num_subcarriers=8)
         comb = mmse_bb_combiner(desired, None, snr.noise_power, snr.stream_power(4))
         se = se_backhaul(desired, comb, snr).se_bps_hz
         assert se >= last
@@ -66,7 +87,7 @@ def test_se_invariant_to_unitary_stream_rotation():
     eff = rand_stack(rng, (8, 8, 4))
     bb = rand_stack(rng, (8, 4, 4))
     q, _ = np.linalg.qr(rand_stack(rng, (4, 4)))
-    snr = SnrPoint(10.0, num_subcarriers=8)
+    snr = SnrPoint(10.0, num_users=4, num_subcarriers=8)
     p = snr.stream_power(4)
 
     def run(precoded):
@@ -87,10 +108,12 @@ def test_regularization_flagged_for_singular_output_covariance():
 
 def test_access_symmetric_identity_channel():
     rows = np.repeat(np.eye(4, dtype=complex)[None], 8, axis=0)
-    snr = SnrPoint(0.0, num_subcarriers=8)
-    res = se_access(rows, snr)
-    assert np.allclose(res.per_user, res.per_user[0])
-    assert np.isclose(res.se_bps_hz, res.per_user.sum())
+    snr = SnrPoint(0.0, num_users=4, num_subcarriers=8)
+    res = se_access(rows, snr, np.ones(4))
+    per_user = _access_per_user(rows, snr, np.ones(4))
+    assert np.allclose(per_user, np.log2(1.0 + snr.stream_power(4) / snr.noise_power))
+    assert np.allclose(per_user, per_user[0])
+    assert np.isclose(res.se_bps_hz, per_user.sum())
     hd = duplex_rates(res, res)["hd"]
     assert np.isclose(hd.se_bps_hz, 0.5 * res.se_bps_hz)
 
@@ -103,9 +126,10 @@ def test_half_duplex_halves_every_rate():
     assert modes["fd_perfect_sic"] is free
     assert np.array_equal(2.0 * modes["hd"].per_subcarrier, free.per_subcarrier)
     rows = rand_stack(np.random.default_rng(9), (4, 4, 4))
-    access = se_access(rows, SnrPoint(5.0, num_subcarriers=4))
+    snr = SnrPoint(5.0, num_users=4, num_subcarriers=4)
+    access = se_access(rows, snr, np.ones(4))
     hd = duplex_rates(access, access)["hd"]
-    assert np.array_equal(2.0 * hd.per_user, access.per_user)
+    assert np.isclose(2.0 * hd.se_bps_hz, _access_per_user(rows, snr, np.ones(4)).sum())
     assert np.array_equal(2.0 * hd.per_subcarrier, access.per_subcarrier)
     assert hd.se_bps_hz == 0.5 * access.se_bps_hz
 
@@ -113,8 +137,9 @@ def test_half_duplex_halves_every_rate():
 def test_access_sum_is_additive_over_users():
     rng = np.random.default_rng(6)
     rows = rand_stack(rng, (4, 4, 4))
-    res = se_access(rows, SnrPoint(5.0, num_subcarriers=4), noise_scales=np.full(4, 2.0))
-    assert np.isclose(res.se_bps_hz, np.sum(res.per_user))
+    snr = SnrPoint(5.0, num_users=4, num_subcarriers=4)
+    res = se_access(rows, snr, noise_scales=np.full(4, 2.0))
+    assert np.isclose(res.se_bps_hz, np.sum(_access_per_user(rows, snr, np.full(4, 2.0))))
 
 
 def test_access_zero_forcing_interference_below_noise():
@@ -127,5 +152,5 @@ def test_access_zero_forcing_interference_below_noise():
     f = np.linalg.pinv(eff)
     rows = eff @ f
     mui = np.abs(rows - np.eye(4)[None]) ** 2
-    snr = SnrPoint(10.0, num_subcarriers=8)
+    snr = SnrPoint(10.0, num_users=4, num_subcarriers=8)
     assert np.max(mui.sum(axis=2)) * snr.stream_power(4) < 1e-8 * snr.noise_power
